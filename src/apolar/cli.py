@@ -40,6 +40,8 @@ def _matrix_doc(M) -> dict:
 
 
 def _presentation(args) -> AlgebraPresentation:
+    if args.num_vars < 1:
+        raise ApolarError("need at least one variable")
     return AlgebraPresentation.from_strings(args.num_vars, args.generators)
 
 

@@ -1,16 +1,23 @@
 """Dense exact linear algebra over the rationals.
 
 Everything in the toolkit that needs a rank, a kernel, or a solved linear
-system comes through here.  Matrices are immutable, entries are
-`fractions.Fraction`, and all elimination is deterministic: pivots are the
-first nonzero entry scanning columns left to right and rows top to bottom,
-so reduced forms, kernels, and solutions are reproducible bit for bit.
+system comes through here.  Matrices are immutable and their entries are
+`fractions.Fraction` at the API.  Elimination itself is fraction-free: each
+row is scaled to integers, a step replaces a row by lead*row - f*pivot_row,
+and the result is divided by the gcd of its entries (its content).  Entries
+become `Fraction`s again only in the results, by dividing each row by its
+pivot or its own input coefficient.
+
+Elimination is deterministic: pivots are the first nonzero entry scanning
+columns left to right and rows top to bottom.  That choice depends only on
+which entries are zero, so reduced forms, kernels, solutions and echelon
+pairs are the same, bit for bit, as those of a `Fraction` elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 Rational = Fraction
@@ -18,8 +25,58 @@ Rational = Fraction
 Vector = tuple[Fraction, ...]
 
 
+_ZERO = Fraction(0)
+
+
 def _as_fraction_row(row: Iterable) -> Vector:
     return tuple(Fraction(x) for x in row)
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """`row` divided by the gcd of its entries (a zero row is returned as is)."""
+    g = gcd(*row)
+    return row if g <= 1 else [v // g for v in row]
+
+
+def _integer_row(row: Sequence) -> list[int]:
+    """Primitive integer row proportional to a row of rationals."""
+    den = lcm(*(x.denominator for x in row))
+    return _primitive([x.numerator * (den // x.denominator) for x in row])
+
+
+def _eliminate(row: list[int], pivot_row: list[int], col: int) -> list[int]:
+    """`row` with its entry in `col` cleared by `pivot_row`, made primitive."""
+    lead, f = pivot_row[col], row[col]
+    return _primitive([lead * a - f * b for a, b in zip(row, pivot_row)])
+
+
+def _echelon(rows: list[list[int]], ncols: int, reduced: bool) -> list[int]:
+    """Eliminate the integer `rows` in place and return the pivot columns.
+
+    Row r ends with its leading entry in column pivots[r], and the rows
+    after the last pivot row are zero.  With `reduced`, the entries above
+    each pivot are cleared too (Gauss-Jordan); otherwise only those below.
+    """
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pivot_row = rows[r]
+        for i in range(0 if reduced else r + 1, len(rows)):
+            if i != r and rows[i][c]:
+                rows[i] = _eliminate(rows[i], pivot_row, c)
+        pivots.append(c)
+    return pivots
+
+
+def _fraction_row(row: Sequence[int], den: int) -> Vector:
+    """The rationals `row / den`."""
+    return tuple(Fraction(v, den) if v else _ZERO for v in row)
 
 
 class RationalMatrix:
@@ -97,10 +154,6 @@ class RationalMatrix:
     def __repr__(self) -> str:
         return f"RationalMatrix({self.rows}x{self.cols})"
 
-    def to_text(self) -> str:
-        """Plain row-per-line rendering, entries space-separated."""
-        return "\n".join(" ".join(str(x) for x in r) for r in self._data)
-
     # ---- arithmetic ------------------------------------------------------
 
     def transpose(self) -> "RationalMatrix":
@@ -135,66 +188,17 @@ class RationalMatrix:
     # ---- elimination -----------------------------------------------------
 
     def rank(self) -> int:
-        """Exact rank, computed fraction-free over the integers.
-
-        Rows are scaled to integers (rank is invariant under row scaling) and
-        eliminated by cross-multiplication with a gcd normalization after
-        each step to keep entries small.
-        """
-        rows = []
-        for r in self._data:
-            den = 1
-            for x in r:
-                d = x.denominator
-                den = den // gcd(den, d) * d
-            ints = [x.numerator * (den // x.denominator) for x in r]
-            if any(ints):
-                g = 0
-                for v in ints:
-                    g = gcd(g, v)
-                rows.append([v // g for v in ints])
-        rank = 0
-        for col in range(self.cols):
-            piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-            if piv is None:
-                continue
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            lead = rows[rank][col]
-            for i in range(rank + 1, len(rows)):
-                f = rows[i][col]
-                if f:
-                    new = [lead * a - f * b for a, b in zip(rows[i], rows[rank])]
-                    g = 0
-                    for v in new:
-                        g = gcd(g, v)
-                    rows[i] = new if g <= 1 else [v // g for v in new]
-            rank += 1
-            if rank == len(rows):
-                break
-        return rank
+        """Exact rank, by forward elimination of the integer rows."""
+        rows = [r for r in map(_integer_row, self._data) if any(r)]
+        return len(_echelon(rows, self.cols, reduced=False))
 
     def rref(self) -> tuple["RationalMatrix", tuple[int, ...]]:
         """Reduced row echelon form and its pivot columns."""
-        rows = [list(r) for r in self._data]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            lead = rows[r][c]
-            if lead != 1:
-                rows[r] = [x / lead for x in rows[r]]
-            for i in range(len(rows)):
-                if i != r and rows[i][c] != 0:
-                    f = rows[i][c]
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-            if r == len(rows):
-                break
-        return RationalMatrix(rows), tuple(pivots)
+        rows = [_integer_row(r) for r in self._data]
+        pivots = _echelon(rows, self.cols, reduced=True)
+        reduced = [_fraction_row(rows[i], rows[i][c]) for i, c in enumerate(pivots)]
+        reduced += [[_ZERO] * self.cols for _ in range(len(rows) - len(pivots))]
+        return RationalMatrix(reduced), tuple(pivots)
 
     def kernel_basis(self) -> list[Vector]:
         """Deterministic basis of the right null space.
@@ -240,9 +244,6 @@ class RationalMatrix:
             x[c] = red[i, self.cols]
         return tuple(x)
 
-    def in_column_space(self, b: Sequence) -> bool:
-        return self.solve(b) is not None
-
 
 def echelon_with_combinations(
     vectors: Sequence[Sequence],
@@ -251,23 +252,29 @@ def echelon_with_combinations(
 
     Returns pairs (row, combo) where combo has one coefficient per input
     vector and row = sum combo_k * vectors[k].  Zero rows are discarded.
+    Each input k is reduced in turn against the rows kept so far, and the
+    kept row is normalised so that combo_k = 1.
     """
     vecs = [_as_fraction_row(v) for v in vectors]
     n = len(vecs)
-    out: list[tuple[list[Fraction], list[Fraction]]] = []
+    width = len(vecs[0]) if vecs else 0
+    if any(len(v) != width for v in vecs):
+        raise ValueError("ragged vectors")
+    # Each kept row is [row | combo] over the integers, a nonzero multiple of
+    # the rational pair, with the column of its leading entry and its input.
+    kept: list[tuple[list[int], int, int]] = []
     for k, v in enumerate(vecs):
-        cur = list(v)
-        combo = [Fraction(0)] * n
-        combo[k] = Fraction(1)
-        for row, rcombo in out:
-            lead = next(i for i, x in enumerate(row) if x != 0)
-            if cur[lead] != 0:
-                f = cur[lead] / row[lead]
-                cur = [a - f * b for a, b in zip(cur, row)]
-                combo = [a - f * b for a, b in zip(combo, rcombo)]
-        if any(x != 0 for x in cur):
-            out.append((cur, combo))
-    return [(tuple(r), tuple(c)) for r, c in out]
+        cur = _integer_row(v + (0,) * k + (1,) + (0,) * (n - k - 1))
+        for row, col, _ in kept:
+            if cur[col]:
+                cur = _eliminate(cur, row, col)
+        lead = next((i for i in range(width) if cur[i]), None)
+        if lead is not None:
+            kept.append((cur, lead, k))
+    return [
+        (_fraction_row(row[:width], row[width + k]), _fraction_row(row[width:], row[width + k]))
+        for row, _, k in kept
+    ]
 
 
 def reduce_against(
@@ -278,15 +285,17 @@ def reduce_against(
     Returns (residual, combo) with residual = vector - sum combo_k * inputs[k],
     where the inputs are the original vectors the echelon was built from.
     """
-    cur = list(_as_fraction_row(vector))
-    total: Optional[list[Fraction]] = None
-    for row, rcombo in echelon:
-        lead = next(i for i, x in enumerate(row) if x != 0)
-        if cur[lead] != 0:
-            f = cur[lead] / row[lead]
-            cur = [a - f * b for a, b in zip(cur, row)]
-            scaled = [f * c for c in rcombo]
-            total = scaled if total is None else [a + b for a, b in zip(total, scaled)]
-    if total is None:
-        total = [Fraction(0)] * (len(echelon[0][1]) if echelon else 0)
-    return tuple(cur), tuple(total)
+    v = _as_fraction_row(vector)
+    width = len(v)
+    if echelon and len(echelon[0][0]) != width:
+        raise ValueError("vector length does not match the echelon rows")
+    n = len(echelon[0][1]) if echelon else 0
+    # [residual | -combo | 1] over the integers, up to a common nonzero
+    # factor; the echelon pairs get a zero in the last column to match.
+    rows = [_integer_row(row + combo + (0,)) for row, combo in echelon]
+    cur = _integer_row(v + (0,) * n + (1,))
+    for row in rows:
+        lead = next(i for i in range(width) if row[i])
+        if cur[lead]:
+            cur = _eliminate(cur, row, lead)
+    return _fraction_row(cur[:width], cur[-1]), _fraction_row(cur[width:-1], -cur[-1])

@@ -59,7 +59,10 @@ def _parse_terms(text: str, letter: str, num_vars: int) -> dict[Exponent, Fracti
                 fail("expected a coefficient or variable")
             kind, value, pos = tokens[i]
             if kind == "num":
-                coeff *= Fraction(value)
+                num, _, den = value.partition("/")
+                if den and int(den) == 0:
+                    fail("zero denominator", i)
+                coeff *= Fraction(int(num), int(den or 1))
                 i += 1
             elif kind == "var":
                 letter_part = value.rstrip("0123456789")

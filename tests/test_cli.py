@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from apolar.cli import main
 
 
@@ -109,6 +111,33 @@ def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "hilbert", "-n", "2", "y1^^2")
     assert code == 1
     assert "parse error" in err
+
+
+def test_zero_denominator_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "hilbert", "-n", "2", "1/0*y1")
+    assert code == 1
+    assert out == ""
+    assert err == "parse error: zero denominator (at position 0)\n"
+
+
+@pytest.mark.parametrize("num_vars", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hilbert"],
+        ["socle"],
+        ["delta", "-q", "1"],
+        ["mmatrix", "-p", "1"],
+        ["compressed"],
+        ["graded"],
+    ],
+)
+@pytest.mark.parametrize("generator", ["1", "y1"])
+def test_too_few_variables_rejected(capsys, argv, num_vars, generator):
+    code, out, err = run(capsys, *argv, "-n", num_vars, generator)
+    assert code == 2
+    assert out == ""
+    assert err == "validation error: need at least one variable\n"
 
 
 def test_validation_error_exit_code(capsys):

@@ -53,6 +53,12 @@ def test_parse_error_position():
     assert exc.value.position == 5
 
 
+def test_parse_zero_denominator_rejected():
+    with pytest.raises(ParseError, match="zero denominator") as exc:
+        parse_dual("y1 - 3/ 00*y2", 2)
+    assert exc.value.position == 5
+
+
 def test_parse_fractional_exponent_rejected():
     with pytest.raises(ParseError):
         parse_dual("y1^1/2", 2)
