@@ -16,7 +16,7 @@ from .catalecticant import (
     socle_correction,
     stacked_catalecticant,
 )
-from .automorphism import TruncatedAutomorphism, dual_apply, perturbation_block
+from .automorphism import TruncatedAutomorphism, dual_apply
 from .errors import (
     ApolarError,
     DependentLeadingForms,
@@ -36,7 +36,6 @@ from .grading import (
     reduce_generators,
     replay_certificate,
     stacked_killing_matrix,
-    verify_block_structure,
 )
 from .inverse_system import (
     AlgebraPresentation,
@@ -112,7 +111,6 @@ __all__ = [
     "pairing",
     "parse_dual",
     "parse_jet",
-    "perturbation_block",
     "rank_criterion",
     "reduce_generators",
     "replay_certificate",
@@ -122,5 +120,4 @@ __all__ = [
     "stacked_catalecticant",
     "stacked_killing_matrix",
     "type_mismatch_warning",
-    "verify_block_structure",
 ]

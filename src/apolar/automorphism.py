@@ -3,8 +3,8 @@
 An automorphism phi of R/M^(s+1) is stored by the images of the variables
 (jets with zero constant term and an invertible linear part).  Its matrix
 over the monomial basis is assembled by direct substitution and truncated
-multiplication; the closed-form perturbation block then serves as an
-independent cross-check rather than the construction path.
+multiplication; the tests check its top-degree block against a closed form
+of a perturbation's effect.
 
 Conventions, pinned by tests against the contraction pairing:
   * column of x^b in matrix() holds the coordinates of phi(x^b);
@@ -185,41 +185,3 @@ def dual_apply(phi: TruncatedAutomorphism, g: DualPolynomial) -> DualPolynomial:
         phi.num_vars,
         {e: c / e.factorial() for e, c in zip(basis, out_row) if c},
     )
-
-
-def perturbation_block(
-    num_vars: int, truncation_order: int, gap: int, coefficients: Sequence
-) -> RationalMatrix:
-    """Closed form of the top-degree block of a perturbation's matrix.
-
-    Rows over degree-s exponents L, columns over degree-(s-gap) exponents W;
-    the entry is the sum of w_j * a^j_i over all splittings W - delta_j + i = L.
-    Cross-checked in tests against the corresponding submatrix of matrix().
-    """
-    n, s = num_vars, truncation_order
-    perturbation_exps = monomials(n, gap + 1)
-    per = len(perturbation_exps)
-    coeffs = [Fraction(c) for c in coefficients]
-    if len(coeffs) != n * per:
-        raise ValueError(f"expected {n * per} coefficients, got {len(coeffs)}")
-    a = {
-        (j, e): coeffs[j * per + k]
-        for j in range(n)
-        for k, e in enumerate(perturbation_exps)
-    }
-    rows = []
-    for L in monomials(n, s):
-        row = []
-        for W in monomials(n, s - gap):
-            total = Fraction(0)
-            for j in range(n):
-                if W[j] == 0:
-                    continue
-                diff = tuple(
-                    L[k] - W[k] + (1 if k == j else 0) for k in range(n)
-                )
-                if all(d >= 0 for d in diff):
-                    total += W[j] * a[(j, Exponent(diff))]
-            row.append(total)
-        rows.append(row)
-    return RationalMatrix(rows)

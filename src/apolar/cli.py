@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .catalecticant import (
@@ -219,45 +220,45 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--check", action="store_true",
                    help="also compute via catalecticant ranks and compare")
-    p.set_defaults(handler=_cmd_hilbert)
 
     p = sub.add_parser("socle", help="socle type of the presented algebra")
     _add_common(p)
-    p.set_defaults(handler=_cmd_socle)
 
     p = sub.add_parser("delta", help="catalecticant matrix of the generators")
     _add_common(p)
     p.add_argument("-q", "--order", type=int, required=True, help="contraction order")
-    p.set_defaults(handler=_cmd_delta)
 
     p = sub.add_parser("mmatrix", help="killing matrix of the leading forms")
     _add_common(p)
     p.add_argument("-p", "--step", type=int, required=True, help="staircase step (gap)")
-    p.set_defaults(handler=_cmd_mmatrix)
 
     p = sub.add_parser("compressed", help="compare the Hilbert function to the maximum")
     _add_common(p)
-    p.set_defaults(handler=_cmd_compressed)
 
     p = sub.add_parser("graded", help="decide canonical gradedness constructively")
     _add_common(p)
-    p.set_defaults(handler=_cmd_graded)
 
     p = sub.add_parser("paper-examples", help="replay the pinned worked examples")
     p.add_argument("--seed", type=int, default=0, help="seed for the random spot checks")
     p.add_argument(
         "--format", choices=("text", "structured"), default="text", help="output format"
     )
-    p.set_defaults(handler=_cmd_paper_examples)
 
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built on first use and reused by every call."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # The handler is looked up on every call, not bound into the shared parser.
+    handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        doc = args.handler(args)
+        doc = handler(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1

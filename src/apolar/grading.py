@@ -90,66 +90,6 @@ def stacked_killing_matrix(forms: Sequence[DualPolynomial], gap: int) -> Rationa
     return RationalMatrix.stacked([killing_matrix(f, gap) for f in forms])
 
 
-# ---------------------------------------------------------------------------
-# structure checks
-# ---------------------------------------------------------------------------
-
-
-def _group_index(e: Exponent) -> int:
-    """Index i of the set S^i containing x^e: first variable with a positive part."""
-    return next(k for k, a in enumerate(e) if a > 0)
-
-
-def verify_block_structure(form: DualPolynomial, gap: int) -> list[str]:
-    """Diagnostic scan of the upper-diagonal structure of the killing matrix.
-
-    Checks the zero pattern below the block diagonal, that the first
-    diagonal block consists of scaled catalecticant rows, and that each
-    later diagonal block repeats scaled rows of the previous one.  Returns
-    a list of violation descriptions; empty means the structure holds.
-    """
-    d = form.degree
-    n = form.num_vars
-    M = killing_matrix(form, gap)
-    delta = catalecticant_matrix(form, gap + 1)
-    row_exps = monomials(n, d - gap)
-    col_exps = monomials(n, gap + 1)
-    delta_rows = {e: k for k, e in enumerate(monomials(n, d - gap - 1))}
-    col_of = lambda j, k: j * len(col_exps) + k
-    problems = []
-    for r, W in enumerate(row_exps):
-        group = _group_index(W)
-        for j in range(group):
-            for k in range(len(col_exps)):
-                if M[r, col_of(j, k)] != 0:
-                    problems.append(
-                        f"expected zero at row {W}, column block {j + 1} (group {group + 1})"
-                    )
-        if group == 0:
-            L = W - Exponent.unit(n, 0)
-            for k in range(len(col_exps)):
-                want = W[0] * delta[delta_rows[L], k]
-                if M[r, col_of(0, k)] != want:
-                    problems.append(
-                        f"first block row {W}: entry {k} is {M[r, col_of(0, k)]},"
-                        f" expected {want} from the catalecticant"
-                    )
-    pos = {e: k for k, e in enumerate(row_exps)}
-    for j in range(n - 1):
-        for W in row_exps:
-            if _group_index(W) != j + 1:
-                continue
-            L = W - Exponent.unit(n, j + 1) + Exponent.unit(n, j)
-            for k in range(len(col_exps)):
-                want = W[j + 1] * M[pos[L], col_of(j, k)]
-                if M[pos[W], col_of(j + 1, k)] != want:
-                    problems.append(
-                        f"block {j + 2} row {W}: entry {k} does not repeat"
-                        f" the scaled block-{j + 1} row {L}"
-                    )
-    return problems
-
-
 def rank_criterion(form: DualPolynomial, gap: int) -> bool:
     """Whether the order-(gap+1) catalecticant rank is maximal for its shape.
 
@@ -223,22 +163,29 @@ def reduce_generators(generators: Sequence[DualPolynomial]) -> list[DualPolynomi
     if not gens:
         return []
     n = gens[0].num_vars
+    # Reductions change only components below the tops, so the tops and the
+    # echelons of their contractions are fixed for the whole call.
     tops = [g.top_component() for g in gens]
     degrees = [g.degree for g in gens]
+    echelons = {}
+
+    def echelon(j: int, allowed: tuple[int, ...]):
+        if (j, allowed) not in echelons:
+            rows, tags = _span_rows(tops, j, allowed)
+            echelons[j, allowed] = echelon_with_combinations(rows), tags
+        return echelons[j, allowed]
+
     for r in range(len(gens)):
         for j in range(degrees[r] - 1, -1, -1):
             comp = gens[r].homogeneous_component(j)
             if comp.is_zero():
                 continue
             exps = monomials(n, j)
-            rows, tags = _span_rows(tops, j, range(len(gens)))
-            ech = echelon_with_combinations(rows)
+            ech, tags = echelon(j, tuple(range(len(gens))))
             if len(ech) < len(exps):
-                allowed = [
+                ech, tags = echelon(j, tuple(
                     q for q in range(len(gens)) if q == r or degrees[q] != degrees[r]
-                ]
-                rows, tags = _span_rows(tops, j, allowed)
-                ech = echelon_with_combinations(rows)
+                ))
             if not ech:
                 continue
             vec = [comp.coefficient(e) for e in exps]

@@ -3,14 +3,17 @@
 A presentation is a finite set of dual polynomials G_1..G_t with linearly
 independent leading forms.  Its algebra is A = R/I where I is everything in
 R that contracts all generators to zero; A is a finite-dimensional local
-ring and all of its invariants here (Hilbert function, socle type,
-compressedness) come out of exact linear algebra on contraction matrices.
+ring.  Its Hilbert function, length, socle type and compressedness are all
+read from one forward echelon of the dual module (`poly.dual_echelon`),
+computed once per presentation; the annihilators are kernels of
+contraction matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .catalecticant import HilbertFunction, compressed_hilbert_function
@@ -21,9 +24,9 @@ from .poly import (
     Exponent,
     JetPolynomial,
     contract_monomial,
+    dual_echelon,
     monomials,
     monomials_up_to,
-    slice_dimensions,
 )
 
 
@@ -83,6 +86,21 @@ class AlgebraPresentation:
 
     def leading_forms(self) -> tuple[DualPolynomial, ...]:
         return tuple(g.top_component() for g in self.generators)
+
+    @cached_property
+    def pivot_counts(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Pivots of the dual echelon per degree 0..s: (all of them, generator-added).
+
+        Validated and computed once per presentation; the Hilbert function,
+        the length, the socle type and compressedness are read from it.
+        """
+        macaulay_validate(self)
+        s = self.socle_degree
+        h, e = [0] * (s + 1), [0] * (s + 1)
+        for d, from_generator, _ in dual_echelon(self.generators):
+            h[d] += 1
+            e[d] += from_generator
+        return tuple(h), tuple(e)
 
 
 def macaulay_validate(pres: AlgebraPresentation) -> None:
@@ -146,9 +164,8 @@ def annihilator_upto(pres: AlgebraPresentation, degree: int) -> list[JetPolynomi
 
 
 def hilbert_function(pres: AlgebraPresentation) -> HilbertFunction:
-    """Hilbert function of A: dimensions of the graded slices of the dual module."""
-    macaulay_validate(pres)
-    return HilbertFunction(slice_dimensions(pres.generators))
+    """Hilbert function of A: h_i is the number of dual-echelon pivots in degree i."""
+    return HilbertFunction(pres.pivot_counts[0])
 
 
 def algebra_length(pres: AlgebraPresentation) -> int:
@@ -156,108 +173,16 @@ def algebra_length(pres: AlgebraPresentation) -> int:
     return hilbert_function(pres).length()
 
 
-class _QuotientAlgebra:
-    """A = R/I with multiplication truncated past the socle degree.
-
-    Basis: the monomials of degree <= s that are not pivots of the reduced
-    annihilator; multiplication reduces back into that basis.  Everything of
-    degree s+1 and beyond is already in I, so truncating products there is
-    exact.
-    """
-
-    def __init__(self, pres: AlgebraPresentation):
-        n, s = pres.num_vars, pres.socle_degree
-        self.num_vars, self.socle_degree = n, s
-        self.mons = monomials_up_to(n, s)
-        self.pos = {e: i for i, e in enumerate(self.mons)}
-        ann = annihilator_upto(pres, s) if s >= 1 else []
-        rows = []
-        for f in ann:
-            row = [Fraction(0)] * len(self.mons)
-            for e, c in f.terms.items():
-                row[self.pos[e]] = c
-            rows.append(row)
-        if rows:
-            red, pivots = RationalMatrix(rows).rref()
-            self._reduced = red
-            self._pivots = pivots
-        else:
-            self._reduced = RationalMatrix([])
-            self._pivots = ()
-        pivot_set = set(self._pivots)
-        self.basis = [i for i in range(len(self.mons)) if i not in pivot_set]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.basis)
-
-    def _reduce(self, vec: list[Fraction]) -> list[Fraction]:
-        for i, c in enumerate(self._pivots):
-            if vec[c]:
-                f = vec[c]
-                row = self._reduced.row(i)
-                vec = [x - f * y for x, y in zip(vec, row)]
-        return vec
-
-    def class_of_monomial(self, e: Exponent) -> list[Fraction]:
-        """Residue class of x^e, in coordinates over the quotient basis."""
-        if e.degree > self.socle_degree:
-            return [Fraction(0)] * self.dimension
-        vec = [Fraction(0)] * len(self.mons)
-        vec[self.pos[e]] = Fraction(1)
-        vec = self._reduce(vec)
-        return [vec[i] for i in self.basis]
-
-    def multiply_by_variable(self, k: int, basis_index: int) -> list[Fraction]:
-        """Class of x_k times the basis monomial at the given quotient index."""
-        e = self.mons[self.basis[basis_index]] + Exponent.unit(self.num_vars, k)
-        return self.class_of_monomial(e)
-
-
-def _subspace_intersection_dim(u_rows: list, v_rows: list) -> int:
-    if not u_rows or not v_rows:
-        return 0
-    du = RationalMatrix(u_rows).rank()
-    dv = RationalMatrix(v_rows).rank()
-    return du + dv - RationalMatrix(u_rows + v_rows).rank()
-
-
 def socle_type(pres: AlgebraPresentation) -> SocleType:
     """Socle dimensions e_i along the powers of the maximal ideal.
 
-    Works on A itself (not a dual-side shortcut), so inhomogeneous
-    generators are handled: the socle is the kernel of simultaneous
-    multiplication by the variables, intersected with the filtration by
-    monomial residues of degree >= i.
+    Read on the dual side, which handles inhomogeneous generators: under
+    the pairing of A with its dual module M, Soc(A) is the orthogonal of
+    m o M and m^i that of M intersected with P_{<i}, so e_i = h_i(M) -
+    h_i(m o M), the pivots in degree i that the generators add to those of
+    m o M.
     """
-    macaulay_validate(pres)
-    A = _QuotientAlgebra(pres)
-    n, s, dim = A.num_vars, A.socle_degree, A.dimension
-
-    rows = []
-    cols = [
-        [A.multiply_by_variable(k, b) for b in range(dim)] for k in range(n)
-    ]
-    for k in range(n):
-        for r in range(dim):
-            rows.append([cols[k][b][r] for b in range(dim)])
-    socle = [list(v) for v in RationalMatrix(rows).kernel_basis()]
-
-    def filtration_rows(i: int) -> list[list[Fraction]]:
-        if i == 0:
-            return [
-                [Fraction(int(a == b)) for a in range(dim)] for b in range(dim)
-            ]
-        return [
-            A.class_of_monomial(e)
-            for e in A.mons
-            if e.degree >= i
-        ]
-
-    dims = [
-        _subspace_intersection_dim(socle, filtration_rows(i)) for i in range(s + 2)
-    ]
-    return SocleType(dims[i] - dims[i + 1] for i in range(s + 1))
+    return SocleType(pres.pivot_counts[1])
 
 
 def is_compressed(pres: AlgebraPresentation) -> bool:

@@ -29,7 +29,8 @@ _ZERO = Fraction(0)
 
 
 def _as_fraction_row(row: Iterable) -> Vector:
-    return tuple(Fraction(x) for x in row)
+    """The entries as `Fraction`s; those that already are stay as they are."""
+    return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row)
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -50,28 +51,44 @@ def _eliminate(row: list[int], pivot_row: list[int], col: int) -> list[int]:
     return _primitive([lead * a - f * b for a, b in zip(row, pivot_row)])
 
 
-def _echelon(rows: list[list[int]], ncols: int, reduced: bool) -> list[int]:
-    """Eliminate the integer `rows` in place and return the pivot columns.
+def _echelon(rows: list[list[int]], ncols: int, reduced: bool) -> list[tuple[int, int]]:
+    """Eliminate the integer `rows` in place; return (row, column) per pivot.
 
-    Row r ends with its leading entry in column pivots[r], and the rows
-    after the last pivot row are zero.  With `reduced`, the entries above
-    each pivot are cleared too (Gauss-Jordan); otherwise only those below.
+    Rows are never reordered.  The pivot of column c is the first row, in
+    input order, that is not yet a pivot row and is nonzero in c, so until
+    a row becomes a pivot row it is reduced only by rows before it: for
+    every k the pivot columns of rows[:k] are those of the span of
+    rows[:k].  Below each pivot the rows that are not yet pivot rows are
+    cleared; with `reduced`, the pivot rows above it too (Gauss-Jordan).
     """
-    pivots: list[int] = []
+    free = [i for i, row in enumerate(rows) if any(row)]
+    pivots: list[tuple[int, int]] = []
     for c in range(ncols):
-        r = len(pivots)
-        if r == len(rows):
+        if not free:
             break
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
+        p = next((i for i in free if rows[i][c]), None)
+        if p is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pivot_row = rows[r]
-        for i in range(0 if reduced else r + 1, len(rows)):
-            if i != r and rows[i][c]:
+        free.remove(p)
+        pivot_row = rows[p]
+        for i in range(len(rows)) if reduced else free:
+            if i != p and rows[i][c]:
                 rows[i] = _eliminate(rows[i], pivot_row, c)
-        pivots.append(c)
+        pivots.append((p, c))
     return pivots
+
+
+def forward_echelon(rows: Sequence[Sequence]) -> list[tuple[int, int, list[int]]]:
+    """Forward elimination of rational `rows`, over the integers.
+
+    Returns (input index, pivot column, row) for each pivot, in column
+    order; the row is the eliminated input row, a primitive integer vector
+    whose first nonzero entry sits in the pivot column.  For every k the
+    pivots with input index below k are those of the span of rows[:k].
+    """
+    ints = [_integer_row(r) for r in rows]
+    ncols = len(ints[0]) if ints else 0
+    return [(i, c, ints[i]) for i, c in _echelon(ints, ncols, reduced=False)]
 
 
 def _fraction_row(row: Sequence[int], den: int) -> Vector:
@@ -188,17 +205,16 @@ class RationalMatrix:
     # ---- elimination -----------------------------------------------------
 
     def rank(self) -> int:
-        """Exact rank, by forward elimination of the integer rows."""
-        rows = [r for r in map(_integer_row, self._data) if any(r)]
-        return len(_echelon(rows, self.cols, reduced=False))
+        """Exact rank: the number of pivots of a forward elimination."""
+        return len(forward_echelon(self._data))
 
     def rref(self) -> tuple["RationalMatrix", tuple[int, ...]]:
         """Reduced row echelon form and its pivot columns."""
         rows = [_integer_row(r) for r in self._data]
         pivots = _echelon(rows, self.cols, reduced=True)
-        reduced = [_fraction_row(rows[i], rows[i][c]) for i, c in enumerate(pivots)]
+        reduced = [_fraction_row(rows[i], rows[i][c]) for i, c in pivots]
         reduced += [[_ZERO] * self.cols for _ in range(len(rows) - len(pivots))]
-        return RationalMatrix(reduced), tuple(pivots)
+        return RationalMatrix(reduced), tuple(c for _, c in pivots)
 
     def kernel_basis(self) -> list[Vector]:
         """Deterministic basis of the right null space.

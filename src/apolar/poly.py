@@ -20,7 +20,7 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import RationalMatrix
+from .linalg import RationalMatrix, forward_echelon
 
 
 class Exponent(tuple):
@@ -385,73 +385,72 @@ def from_dual_coordinates(
 
 
 # ---------------------------------------------------------------------------
-# the derived submodule and its graded slices
+# the derived submodule and its filtered echelon
 # ---------------------------------------------------------------------------
 
 
-def _contraction_closure(generators: Sequence[DualPolynomial]):
-    """All contractions x^gamma o g_r as coefficient rows.
+def dual_echelon(
+    generators: Sequence[DualPolynomial],
+) -> list[tuple[int, bool, list[int]]]:
+    """One forward echelon of the module M the generators span under contraction.
 
-    Rows are indexed over monomials_up_to(n, d_max) (degree ascending), which
-    makes "degree <= j" a coordinate prefix.
+    Columns are the monomials of degree top, top-1, ..., 0 (canonical order
+    inside a degree), so a row's pivot lies in the degree of its leading
+    component and the rows with pivot in degree <= j span M intersected with
+    P_{<=j}.  The rows are every nonzero x^gamma o g with |gamma| >= 1, which
+    span m o M, followed by the generators themselves.  Returns
+    (degree, from_generator, row) per pivot: from_generator marks the pivots
+    of M that m o M lacks, and the row is the eliminated integer row.
     """
     n = generators[0].num_vars
     top = max(g.degree for g in generators)
-    exps = monomials_up_to(n, max(top, 0))
-    pos = {e: i for i, e in enumerate(exps)}
-    rows: list[list[Fraction]] = []
+    columns = [e for d in range(top, -1, -1) for e in monomials(n, d)]
+    pos = {e: i for i, e in enumerate(columns)}
+
+    def row(p: DualPolynomial) -> list:
+        out = [0] * len(pos)
+        for e, c in p.terms.items():
+            out[pos[e]] = c
+        return out
+
+    rows = []
     for g in generators:
-        for gamma in monomials_up_to(n, max(g.degree, 0)):
+        for gamma in monomials_up_to(n, g.degree)[1:]:
             cg = contract_monomial(gamma, g)
-            if cg.is_zero():
-                continue
-            row = [Fraction(0)] * len(exps)
-            for e, c in cg.terms.items():
-                row[pos[e]] = c
-            rows.append(row)
-    return exps, rows
+            if not cg.is_zero():
+                rows.append(row(cg))
+    first_generator = len(rows)
+    rows.extend(row(g) for g in generators)
+    return [
+        (columns[c].degree, i >= first_generator, r) for i, c, r in forward_echelon(rows)
+    ]
 
 
-def _filtered_dimensions(generators: Sequence[DualPolynomial]) -> list[int]:
-    """dim of (span of all contractions) intersected with P_{<=j}, j = 0..top.
-
-    The intersection with P_{<=j} is the kernel of projecting rows onto the
-    coordinates of degree > j, so its dimension is dim(span) minus the rank
-    of the column block of degree > j.
-    """
-    n = generators[0].num_vars
-    top = max(g.degree for g in generators)
-    exps, rows = _contraction_closure(generators)
-    dim_span = RationalMatrix(rows).rank()
-    out = []
-    offset = 0
-    for j in range(top + 1):
-        offset += degree_dimension(n, j)
-        if offset < len(exps):
-            tail_rank = RationalMatrix([r[offset:] for r in rows]).rank()
-        else:
-            tail_rank = 0
-        out.append(dim_span - tail_rank)
-    return out
+def _nonzero_generators(generators: Sequence[DualPolynomial]) -> list[DualPolynomial]:
+    gens = [g for g in generators if not g.is_zero()]
+    if len({g.num_vars for g in gens}) > 1:
+        raise ValueError("generators must share the variable count")
+    return gens
 
 
 def slice_dimensions(generators: Sequence[DualPolynomial]) -> tuple[int, ...]:
     """Dimensions of the graded slices of the generated submodule.
 
     Entry j is the dimension of the degree-j slice: elements of the
-    submodule of degree <= j, taken modulo those of degree < j.  For a
-    nonzero Macaulay dual module this is the Hilbert function of the
-    corresponding quotient algebra.
+    submodule of degree <= j, taken modulo those of degree < j, which is
+    the number of pivots of `dual_echelon` in degree j.  For a nonzero
+    Macaulay dual module this is the Hilbert function of the corresponding
+    quotient algebra.
     """
     if not generators:
         raise ValueError("need at least one generator")
-    gens = [g for g in generators if not g.is_zero()]
+    gens = _nonzero_generators(generators)
     if not gens:
         raise ValueError("all generators are zero")
-    if len({g.num_vars for g in gens}) > 1:
-        raise ValueError("generators must share the variable count")
-    filtered = _filtered_dimensions(gens)
-    return tuple(b - a for a, b in zip([0] + filtered[:-1], filtered))
+    dims = [0] * (max(g.degree for g in gens) + 1)
+    for d, _, _ in dual_echelon(gens):
+        dims[d] += 1
+    return tuple(dims)
 
 
 def derivative_span(
@@ -459,63 +458,21 @@ def derivative_span(
 ) -> list[DualPolynomial]:
     """Basis of the degree-j slice of the submodule generated under derivation.
 
-    Each basis element is the degree-j leading part of a submodule element of
-    degree <= j.  When every generator is homogeneous the slice is just the
-    span of the order-(deg g - j) contractions of each g; in general lower
-    degree tails force the filtered computation.
+    The slice consists of the degree-j leading parts of the submodule
+    elements of degree <= j; the rows of `dual_echelon` with pivot in degree
+    j have independent degree-j parts spanning it.  The basis returned is
+    the reduced echelon form of those parts over monomials(n, j).
     """
-    if not generators:
-        return []
-    gens = [g for g in generators if not g.is_zero()]
-    if not gens:
+    gens = _nonzero_generators(generators)
+    top = max((g.degree for g in gens), default=-1)
+    j = target_degree
+    if not 0 <= j <= top:
         return []
     n = gens[0].num_vars
-    if any(g.num_vars != n for g in gens):
-        raise ValueError("generators must share the variable count")
-    j = target_degree
-    if j < 0 or j > max(g.degree for g in gens):
-        return []
     exps_j = monomials(n, j)
-
-    if all(g.is_homogeneous() for g in gens):
-        rows = []
-        for g in gens:
-            if g.degree < j:
-                continue
-            for gamma in monomials(n, g.degree - j):
-                cg = contract_monomial(gamma, g)
-                if not cg.is_zero():
-                    rows.append([cg.coefficient(e) for e in exps_j])
-        if not rows:
-            return []
-        red, pivots = RationalMatrix(rows).rref()
-        return [
-            DualPolynomial(n, {e: red[i, k] for k, e in enumerate(exps_j)})
-            for i in range(len(pivots))
-        ]
-
-    exps, rows = _contraction_closure(gens)
+    start = sum(degree_dimension(n, d) for d in range(j + 1, top + 1))
+    rows = [r[start : start + len(exps_j)] for d, _, r in dual_echelon(gens) if d == j]
     if not rows:
         return []
-    prefix = sum(degree_dimension(n, d) for d in range(j + 1))
-    # order columns so degree > j comes first: echelon rows with a leading
-    # entry inside the trailing (degree <= j) block span the filtered piece
-    reordered = [r[prefix:] + r[:prefix] for r in rows]
-    red, pivots = RationalMatrix(reordered).rref()
-    cut = len(exps) - prefix
-    out = []
-    for i, c in enumerate(pivots):
-        if c < cut:
-            continue
-        # trailing block holds degrees <= j, with degree j occupying its tail
-        tail = red.row(i)[cut:]
-        comp = {e: tail[k] for k, e in enumerate(exps[:prefix]) if e.degree == j and tail[k]}
-        if comp:
-            out.append(DualPolynomial(n, comp))
-    if not out:
-        return []
-    red2, piv2 = RationalMatrix([[g.coefficient(e) for e in exps_j] for g in out]).rref()
-    return [
-        DualPolynomial(n, {e: red2[i, k] for k, e in enumerate(exps_j)})
-        for i in range(len(piv2))
-    ]
+    red, pivots = RationalMatrix(rows).rref()
+    return [DualPolynomial(n, dict(zip(exps_j, red.row(i)))) for i in range(len(pivots))]

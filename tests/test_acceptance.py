@@ -30,7 +30,6 @@ from apolar import (
     pairing,
     parse_dual,
     parse_jet,
-    perturbation_block,
     replay_certificate,
     slice_dimensions,
     socle_type,
@@ -41,6 +40,7 @@ from apolar.linalg import RationalMatrix
 from apolar.poly import JetPolynomial
 
 from conftest import random_form, random_polynomial
+from oracles import perturbation_block
 
 
 def criterion(label):

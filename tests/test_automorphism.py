@@ -12,11 +12,11 @@ from apolar import (
     pairing,
     parse_dual,
     parse_jet,
-    perturbation_block,
 )
 from apolar.poly import Exponent
 
 from conftest import random_polynomial
+from oracles import perturbation_block
 
 
 def identity_is(phi):

@@ -170,8 +170,8 @@ def test_structured_round_trip_byte_identical(capsys):
 
 
 def test_invariant_violation_exit_code(capsys, monkeypatch):
-    # handlers are looked up from module globals when the parser is built,
-    # so patching the module attribute reroutes dispatch
+    # handlers are looked up from module globals on every call, so patching
+    # the module attribute reroutes dispatch
     from apolar.errors import InvariantViolation
     import apolar.cli as cli
 

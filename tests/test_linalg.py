@@ -8,6 +8,7 @@ from apolar.grading import stacked_killing_matrix
 from apolar.linalg import (
     RationalMatrix,
     echelon_with_combinations,
+    forward_echelon,
     reduce_against,
 )
 from conftest import random_form
@@ -338,6 +339,23 @@ def test_rref_and_kernel_match_oracle(case):
     assert pivots == want_pivots
     assert_same(red.to_lists(), want_red)
     assert_same(M.kernel_basis(), oracle_kernel(rows, width))
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_matrices())
+def test_forward_echelon_pivots_every_prefix(case):
+    # the pivots of input rows below k are the rref pivots of rows[:k], and
+    # each returned row is a combination of the rows up to its own
+    rows, ncols = case
+    got = forward_echelon(rows)
+    assert [c for _, c, _ in got] == sorted(c for _, c, _ in got)
+    assert RationalMatrix(rows).rank() == len(got)
+    for k in range(len(rows) + 1):
+        assert tuple(sorted(c for i, c, _ in got if i < k)) == oracle_rref(rows[:k], ncols)[1]
+    for i, c, row in got:
+        assert not any(row[:c]) and row[c]
+        span = oracle_rref(rows[: i + 1], ncols)[1]
+        assert oracle_rref(rows[: i + 1] + [row], ncols)[1] == span
 
 
 @settings(max_examples=300, deadline=None)
