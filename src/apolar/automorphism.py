@@ -1,22 +1,30 @@
 """Automorphisms of the truncated power-series ring and their dual action.
 
 An automorphism phi of R/M^(s+1) is stored by the images of the variables
-(jets with zero constant term and an invertible linear part).  Its matrix
-over the monomial basis is assembled by direct substitution and truncated
-multiplication; the tests check its top-degree block against a closed form
-of a perturbation's effect.
+(jets with zero constant term and an invertible linear part).  Write them
+phi(x_j) = l_j + h_j, with l_j = sum_i L_ij x_i the linear part and h_j the
+terms of degree >= 2.
 
-Conventions, pinned by tests against the contraction pairing:
-  * column of x^b in matrix() holds the coordinates of phi(x^b);
-  * the dual action sends g to the F with row vector [F] = [g] * matrix(),
-    equivalently <w, F> = <phi(w), g> for every monomial w;
-  * phi.then(psi) applies phi first, so matrix(phi.then(psi)) equals
-    matrix(psi) @ matrix(phi).
+The dual action sends g to the F with <w, F> = <phi(w), g> for every monomial
+w, pinned by tests against the contraction pairing.  Pairing g with
+phi(exp(x.y)) = exp(x.(L y)) * exp(h.y) gives, in the plain basis of
+`DualPolynomial`,
+
+    F(y) = sum_k (y^k / k!) * G_k(L y),   G_0 = g,   G_k = h_j o G_(k - delta_j),
+
+one contraction of a small h_j per multi-index k.  The sum is finite: G_k
+vanishes once |k| times the least degree of the h_j exceeds deg g.  No
+matrix over the monomial basis is formed.  `matrix()` builds that matrix
+(the column of x^b holds the coordinates of phi(x^b)), so [F] = [g] * matrix()
+in dual coordinates; it is the dense reference the tests check the
+contraction formula against, and phi.then(psi), which applies phi first, has
+matrix psi.matrix() @ phi.matrix().
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Sequence
 
 from .linalg import RationalMatrix
@@ -24,6 +32,7 @@ from .poly import (
     DualPolynomial,
     Exponent,
     JetPolynomial,
+    add_contraction,
     monomials,
     monomials_up_to,
 )
@@ -32,7 +41,7 @@ from .poly import (
 class TruncatedAutomorphism:
     """K-algebra automorphism of R/M^(s+1), given by variable images."""
 
-    __slots__ = ("num_vars", "truncation_order", "images", "_matrix", "_image_memo")
+    __slots__ = ("num_vars", "truncation_order", "images", "_image_memo")
 
     def __init__(self, num_vars: int, truncation_order: int, images: Sequence[JetPolynomial]):
         images = tuple(images)
@@ -43,19 +52,12 @@ class TruncatedAutomorphism:
                 raise ValueError("image arity or truncation order mismatch")
             if img.constant_term():
                 raise ValueError("variable images must have zero constant term")
-        linear = RationalMatrix(
-            [
-                [img.terms.get(Exponent.unit(num_vars, i), Fraction(0)) for img in images]
-                for i in range(num_vars)
-            ]
-        )
-        if linear.rank() != num_vars:
-            raise ValueError("singular linear part")
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "truncation_order", truncation_order)
         object.__setattr__(self, "images", images)
-        object.__setattr__(self, "_matrix", None)
         object.__setattr__(self, "_image_memo", {})
+        if self.linear_part().rank() != num_vars:
+            raise ValueError("singular linear part")
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedAutomorphism is immutable")
@@ -136,27 +138,22 @@ class TruncatedAutomorphism:
     def matrix(self) -> RationalMatrix:
         """Matrix over the monomial basis; column of x^b holds phi(x^b).
 
-        Identity diagonal blocks for identity linear part, zero blocks above
-        the diagonal, and the perturbation blocks below, matching the block
-        description checked in the test-suite.
+        The dense reference for the dual action: identity diagonal blocks for
+        identity linear part, zero blocks above the diagonal, and the
+        perturbation blocks below.  `dual_apply` does not use it.
         """
-        if self._matrix is not None:
-            return self._matrix
         basis = monomials_up_to(self.num_vars, self.truncation_order)
         pos = {e: i for i, e in enumerate(basis)}
-        r = len(basis)
         cols = []
         for b in basis:
-            img = self.image_of_exponent(b)
-            col = [Fraction(0)] * r
-            for e, c in img.terms.items():
+            col = [Fraction(0)] * len(basis)
+            for e, c in self.image_of_exponent(b).terms.items():
                 col[pos[e]] = c
             cols.append(col)
-        m = RationalMatrix.from_columns(cols)
-        object.__setattr__(self, "_matrix", m)
-        return m
+        return RationalMatrix.from_columns(cols)
 
     def linear_part(self) -> RationalMatrix:
+        """L with L[i, j] the coefficient of x_i in phi(x_j)."""
         n = self.num_vars
         return RationalMatrix(
             [
@@ -167,10 +164,12 @@ class TruncatedAutomorphism:
 
 
 def dual_apply(phi: TruncatedAutomorphism, g: DualPolynomial) -> DualPolynomial:
-    """The polynomial F with [F] = [g] * matrix(phi) in dual coordinates.
+    """The F with <w, F> = <phi(w), g> for every monomial w of degree at most s.
 
-    Equivalently <w, F> = <phi(w), g> for every monomial w of degree at most
-    the truncation order.
+    F(y) = sum_k (y^k / k!) * G_k(L y) with G_0 = g and G_k = h_j o G_(k -
+    delta_j) (module docstring).  Each G_k is reached once, from the k with
+    its last nonzero entry removed, and the linear substitution y -> L y is
+    memoized per monomial.
     """
     if g.num_vars != phi.num_vars:
         raise ValueError("variable-count mismatch")
@@ -178,10 +177,43 @@ def dual_apply(phi: TruncatedAutomorphism, g: DualPolynomial) -> DualPolynomial:
         raise ValueError(
             f"degree {g.degree} exceeds truncation order {phi.truncation_order}"
         )
-    basis = monomials_up_to(phi.num_vars, phi.truncation_order)
-    row = [e.factorial() * g.coefficient(e) for e in basis]
-    out_row = phi.matrix().row_apply(row)
-    return DualPolynomial(
-        phi.num_vars,
-        {e: c / e.factorial() for e, c in zip(basis, out_row) if c},
-    )
+    n = phi.num_vars
+    units = [(0,) * j + (1,) + (0,) * (n - j - 1) for j in range(n)]
+    higher = [[(e, c) for e, c in img.terms.items() if e.degree >= 2] for img in phi.images]
+    # the image of y_i under y -> L y, as (exponent, coefficient) pairs
+    substituted = [
+        [(units[j], img.terms[u]) for j, img in enumerate(phi.images) if u in img.terms]
+        for u in units
+    ]
+    zero = (0,) * n
+    memo = {zero: {zero: 1}}
+
+    def substitute(beta: tuple) -> dict:
+        """(L y)^beta as a term dict, built from beta minus one variable."""
+        if beta not in memo:
+            i = next(i for i, b in enumerate(beta) if b)
+            out: dict = {}
+            for gamma, c in substitute(beta[:i] + (beta[i] - 1,) + beta[i + 1 :]).items():
+                for u, l in substituted[i]:
+                    e = tuple(map(add, gamma, u))
+                    out[e] = out.get(e, 0) + c * l
+            memo[beta] = out
+        return memo[beta]
+
+    result: dict = {}
+    pending = [(zero, 0, g.terms)]
+    while pending:
+        k, first, terms = pending.pop()
+        scale = Fraction(1, Exponent(k).factorial())
+        for beta, c in terms.items():
+            for gamma, l in substitute(beta).items():
+                e = tuple(map(add, gamma, k))
+                result[e] = result.get(e, 0) + scale * c * l
+        for j in range(first, n):
+            child: dict = {}
+            for alpha, a in higher[j]:
+                add_contraction(child, alpha, terms, a)
+            child = {e: c for e, c in child.items() if c}
+            if child:
+                pending.append((tuple(map(add, k, units[j])), j, child))
+    return DualPolynomial(n, result)

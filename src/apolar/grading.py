@@ -33,6 +33,7 @@ from .linalg import (
 from .poly import (
     DualPolynomial,
     Exponent,
+    add_contraction,
     contract_monomial,
     dual_coordinates,
     monomials,
@@ -143,7 +144,9 @@ def _span_rows(
     return rows, tags
 
 
-def reduce_generators(generators: Sequence[DualPolynomial]) -> list[DualPolynomial]:
+def reduce_generators(
+    generators: Sequence[DualPolynomial], *, echelons: Optional[dict] = None
+) -> list[DualPolynomial]:
     """Normalize lower components against the module of the leading forms.
 
     A component is absorbed by subtracting actual contractions of the full
@@ -158,29 +161,36 @@ def reduce_generators(generators: Sequence[DualPolynomial]) -> list[DualPolynomi
     Same-degree cross-generator reduction is deliberately not performed in
     the second case: leftover components are exactly what the killing
     staircase is for, and silently absorbing them would bypass it.
+
+    Reductions never change a top component, so the echelon of the allowed
+    tops' contractions in a degree depends only on the tops.  `echelons`
+    maps (degree, allowed generators) to that echelon and is filled as
+    needed.  Calls may share a table only when their generators have the
+    same tops: the staircase passes one table to all its reductions, since
+    its automorphisms keep the tops too.  Without it a table lives for
+    this call only.
     """
     gens = list(generators)
     if not gens:
         return []
     n = gens[0].num_vars
-    # Reductions change only components below the tops, so the tops and the
-    # echelons of their contractions are fixed for the whole call.
-    tops = [g.top_component() for g in gens]
     degrees = [g.degree for g in gens]
-    echelons = {}
+    if echelons is None:
+        echelons = {}
 
     def echelon(j: int, allowed: tuple[int, ...]):
         if (j, allowed) not in echelons:
-            rows, tags = _span_rows(tops, j, allowed)
+            rows, tags = _span_rows([g.top_component() for g in gens], j, allowed)
             echelons[j, allowed] = echelon_with_combinations(rows), tags
         return echelons[j, allowed]
 
     for r in range(len(gens)):
+        terms = dict(gens[r].terms)
         for j in range(degrees[r] - 1, -1, -1):
-            comp = gens[r].homogeneous_component(j)
-            if comp.is_zero():
-                continue
             exps = monomials(n, j)
+            vec = [terms.get(e, 0) for e in exps]
+            if not any(vec):
+                continue
             ech, tags = echelon(j, tuple(range(len(gens))))
             if len(ech) < len(exps):
                 ech, tags = echelon(j, tuple(
@@ -188,11 +198,14 @@ def reduce_generators(generators: Sequence[DualPolynomial]) -> list[DualPolynomi
                 ))
             if not ech:
                 continue
-            vec = [comp.coefficient(e) for e in exps]
             _, combo = reduce_against(ech, vec)
             for c, (q, gamma) in zip(combo, tags):
                 if c:
-                    gens[r] = gens[r] - contract_monomial(gamma, gens[q]).scaled(c)
+                    # a contraction of generator r itself sees the
+                    # subtractions made so far
+                    source = dict(terms) if q == r else gens[q].terms
+                    add_contraction(terms, gamma, source, -c)
+        gens[r] = DualPolynomial(n, terms)
     return gens
 
 
@@ -319,7 +332,9 @@ def canonically_graded(pres: AlgebraPresentation) -> GradingReport:
     notes = [_STAIRCASE_NOTE]
     if len(set(pres.degrees)) > 1:
         notes.append(_MIXED_DEGREE_NOTE)
-    gens = reduce_generators(pres.generators)
+    # one table of echelons for every reduction: no step moves a top
+    echelons: dict = {}
+    gens = reduce_generators(pres.generators, echelons=echelons)
     degrees = [g.degree for g in gens]
     s = max(degrees)
     steps: list[KillingStep] = []
@@ -342,7 +357,7 @@ def canonically_graded(pres: AlgebraPresentation) -> GradingReport:
             )
         phi = TruncatedAutomorphism.with_perturbation(n, s, gap, outcome)
         gens = [dual_apply(phi, g) for g in gens]
-        gens = reduce_generators(gens)
+        gens = reduce_generators(gens, echelons=echelons)
         steps.append(KillingStep(gap=gap, coefficients=tuple(outcome)))
     if all(g.is_homogeneous() for g in gens):
         return GradingReport(
@@ -372,10 +387,11 @@ def replay_certificate(
     this to validate GRADED certificates.
     """
     n = pres.num_vars
-    gens = reduce_generators(pres.generators)
+    echelons: dict = {}
+    gens = reduce_generators(pres.generators, echelons=echelons)
     s = max(g.degree for g in gens)
     for step in report.steps:
         phi = TruncatedAutomorphism.with_perturbation(n, s, step.gap, step.coefficients)
         gens = [dual_apply(phi, g) for g in gens]
-        gens = reduce_generators(gens)
+        gens = reduce_generators(gens, echelons=echelons)
     return tuple(gens)

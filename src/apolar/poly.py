@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, perm
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import RationalMatrix, forward_echelon
@@ -312,18 +312,27 @@ class JetPolynomial:
 # ---------------------------------------------------------------------------
 
 
-def contract_monomial(alpha: Exponent, g: DualPolynomial) -> DualPolynomial:
-    """x^alpha o g, by the rule x^a o y^b = b!/(b-a)! y^(b-a)."""
-    out: dict[Exponent, Fraction] = {}
-    for beta, c in g.terms.items():
-        if not beta.dominates(alpha):
-            continue
+def add_contraction(out: dict, alpha: Sequence[int], terms: Mapping, factor=1) -> dict:
+    """Add factor * (x^alpha o g) into the term dict `out`; g is given by its terms.
+
+    `out` may hold zero coefficients afterwards; `DualPolynomial` drops them.
+    It must not be `terms` itself.
+    """
+    for beta, c in terms.items():
         scale = 1
         for b, a in zip(beta, alpha):
-            scale *= factorial(b) // factorial(b - a)
-        rest = beta - alpha
-        out[rest] = out.get(rest, Fraction(0)) + c * scale
-    return DualPolynomial(g.num_vars, out)
+            if b < a:
+                break
+            scale *= perm(b, a)
+        else:
+            rest = Exponent(b - a for b, a in zip(beta, alpha))
+            out[rest] = out.get(rest, 0) + factor * scale * c
+    return out
+
+
+def contract_monomial(alpha: Exponent, g: DualPolynomial) -> DualPolynomial:
+    """x^alpha o g, by the rule x^a o y^b = b!/(b-a)! y^(b-a)."""
+    return DualPolynomial(g.num_vars, add_contraction({}, alpha, g.terms))
 
 
 def contract(f: JetPolynomial, g: DualPolynomial) -> DualPolynomial:
@@ -332,10 +341,10 @@ def contract(f: JetPolynomial, g: DualPolynomial) -> DualPolynomial:
         raise ValueError(
             f"variable-count mismatch: {f.num_vars} vs {g.num_vars}"
         )
-    acc = DualPolynomial.zero(g.num_vars)
+    out: dict = {}
     for alpha, c in f.terms.items():
-        acc = acc + contract_monomial(alpha, g).scaled(c)
-    return acc
+        add_contraction(out, alpha, g.terms, c)
+    return DualPolynomial(g.num_vars, out)
 
 
 def pairing(f: JetPolynomial, g: DualPolynomial) -> Fraction:

@@ -1,12 +1,16 @@
 """Independent reference computations that only the tests use.
 
-Two kinds live here.  Cross-checks of the killing staircase: the closed form
-of a perturbation's top-degree block and a scan of the killing matrix's
-block structure.  And the invariants of a presentation computed the long
-way, without the dual echelon of `apolar.poly.dual_echelon`: the socle type
-on the quotient algebra A = R/I itself, the slice dimensions by one rank
-per degree, and the derivative spans by a Gauss-Jordan elimination with the
-columns of degree above j moved first.
+Two kinds live here.  Cross-checks of the killing staircase: the closed
+form of a perturbation's top-degree block, a scan of the killing matrix's
+block structure, the dual action through the dense matrix of the
+automorphism, and generator reduction as it was written before the
+staircase shared its echelons (one echelon table per call, one
+`DualPolynomial` subtraction per contraction).  And the invariants of a
+presentation computed the long way, without the dual echelon of
+`apolar.poly.dual_echelon`: the socle type on the quotient algebra A = R/I
+itself, the slice dimensions by one rank per degree, and the derivative
+spans by a Gauss-Jordan elimination with the columns of degree above j
+moved first.
 """
 
 from __future__ import annotations
@@ -14,9 +18,15 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from apolar import AlgebraPresentation, DualPolynomial, annihilator_upto, killing_matrix
+from apolar import (
+    AlgebraPresentation,
+    DualPolynomial,
+    TruncatedAutomorphism,
+    annihilator_upto,
+    killing_matrix,
+)
 from apolar.catalecticant import catalecticant_matrix
-from apolar.linalg import RationalMatrix
+from apolar.linalg import RationalMatrix, echelon_with_combinations, reduce_against
 from apolar.poly import (
     Exponent,
     contract_monomial,
@@ -39,7 +49,7 @@ def perturbation_block(
 
     Rows over degree-s exponents L, columns over degree-(s-gap) exponents W;
     the entry is the sum of w_j * a^j_i over all splittings W - delta_j + i = L.
-    Cross-checked against the corresponding submatrix of matrix().
+    Cross-checked against the corresponding submatrix of phi.matrix().
     """
     n, s = num_vars, truncation_order
     perturbation_exps = monomials(n, gap + 1)
@@ -68,6 +78,69 @@ def perturbation_block(
             row.append(total)
         rows.append(row)
     return RationalMatrix(rows)
+
+
+def dense_dual_apply(phi: TruncatedAutomorphism, g: DualPolynomial) -> DualPolynomial:
+    """The dual action by its dense definition [F] = [g] * phi.matrix()."""
+    if g.num_vars != phi.num_vars or g.degree > phi.truncation_order:
+        raise ValueError("g does not fit the automorphism")
+    basis = monomials_up_to(phi.num_vars, phi.truncation_order)
+    row = [e.factorial() * g.coefficient(e) for e in basis]
+    out = phi.matrix().row_apply(row)
+    return DualPolynomial(phi.num_vars, {e: c / e.factorial() for e, c in zip(basis, out)})
+
+
+def reduce_generators_reference(
+    generators: Sequence[DualPolynomial], self_uses: list | None = None
+) -> list[DualPolynomial]:
+    """`apolar.reduce_generators` with a fresh echelon table per call.
+
+    Each contraction of a combination is subtracted from the generator as a
+    `DualPolynomial`, in combination order; a contraction of the generator
+    itself sees the subtractions made before it.  `self_uses`, if given,
+    receives for every applied combination the number of its nonzero
+    coefficients on contractions of the generator being reduced.
+    """
+    gens = list(generators)
+    if not gens:
+        return []
+    n = gens[0].num_vars
+    tops = [g.top_component() for g in gens]
+    degrees = [g.degree for g in gens]
+    echelons = {}
+
+    def echelon(j, allowed):
+        if (j, allowed) not in echelons:
+            rows, tags = [], []
+            for q in allowed:
+                for gamma in monomials(n, tops[q].degree - j):
+                    cg = contract_monomial(gamma, tops[q])
+                    if not cg.is_zero():
+                        rows.append([cg.coefficient(e) for e in monomials(n, j)])
+                        tags.append((q, gamma))
+            echelons[j, allowed] = echelon_with_combinations(rows), tags
+        return echelons[j, allowed]
+
+    for r in range(len(gens)):
+        for j in range(degrees[r] - 1, -1, -1):
+            comp = gens[r].homogeneous_component(j)
+            if comp.is_zero():
+                continue
+            exps = monomials(n, j)
+            ech, tags = echelon(j, tuple(range(len(gens))))
+            if len(ech) < len(exps):
+                ech, tags = echelon(j, tuple(
+                    q for q in range(len(gens)) if q == r or degrees[q] != degrees[r]
+                ))
+            if not ech:
+                continue
+            _, combo = reduce_against(ech, [comp.coefficient(e) for e in exps])
+            if self_uses is not None:
+                self_uses.append(sum(1 for c, (q, _) in zip(combo, tags) if c and q == r))
+            for c, (q, gamma) in zip(combo, tags):
+                if c:
+                    gens[r] = gens[r] - contract_monomial(gamma, gens[q]).scaled(c)
+    return gens
 
 
 def group_index(e: Exponent) -> int:

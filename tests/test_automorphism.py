@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from apolar import (
+    DualPolynomial,
     JetPolynomial,
     TruncatedAutomorphism,
     dual_apply,
@@ -13,10 +14,11 @@ from apolar import (
     parse_dual,
     parse_jet,
 )
+from apolar.linalg import RationalMatrix
 from apolar.poly import Exponent
 
 from conftest import random_polynomial
-from oracles import perturbation_block
+from oracles import dense_dual_apply, perturbation_block
 
 
 def identity_is(phi):
@@ -181,6 +183,55 @@ def test_dual_apply_degree_overflow():
     phi = TruncatedAutomorphism.identity(2, 3)
     with pytest.raises(ValueError):
         dual_apply(phi, parse_dual("y1^4", 2))
+
+
+def test_dual_apply_arity_mismatch():
+    phi = TruncatedAutomorphism.identity(2, 3)
+    with pytest.raises(ValueError):
+        dual_apply(phi, parse_dual("y1^2", 3))
+
+
+def _random_coefficient(rng, fractional):
+    c = Fraction(rng.randint(-4, 4))
+    return c / rng.randint(1, 5) if fractional else c
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_dual_apply_matches_dense_matrix(data):
+    # the contraction formula against [F] = [g] * matrix(phi), for linear
+    # parts that are any invertible matrix and images with terms in several
+    # degrees
+    import random
+
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    n = data.draw(st.integers(1, 3))
+    s = data.draw(st.integers(1, 5))
+    fractional = data.draw(st.booleans())
+    kind = data.draw(st.sampled_from(["zero", "constant", "mixed"]))
+    while True:
+        linear = [[_random_coefficient(rng, fractional) for _ in range(n)] for _ in range(n)]
+        if RationalMatrix(linear).rank() == n:
+            break
+    images = []
+    for j in range(n):
+        terms = {Exponent.unit(n, i): linear[i][j] for i in range(n)}
+        for e in monomials_up_to(n, s):
+            if e.degree >= 2 and rng.random() < 0.3:
+                terms[e] = _random_coefficient(rng, fractional)
+        images.append(JetPolynomial(n, s, terms))
+    phi = TruncatedAutomorphism(n, s, images)
+    if kind == "zero":
+        g = DualPolynomial.zero(n)
+    elif kind == "constant":
+        g = DualPolynomial(n, {Exponent((0,) * n): _random_coefficient(rng, fractional) or 1})
+    else:
+        degrees = sorted(rng.sample(range(s + 1), rng.randint(1, s + 1)))
+        g = DualPolynomial(n, {
+            e: _random_coefficient(rng, fractional)
+            for d in degrees for e in monomials(n, d) if rng.random() < 0.6
+        })
+    assert dual_apply(phi, g) == dense_dual_apply(phi, g)
 
 
 @settings(max_examples=25, deadline=None)

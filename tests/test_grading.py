@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from apolar import (
     AlgebraPresentation,
+    DualPolynomial,
     GradingOutcome,
     Obstruction,
     SocleDegreeTooLarge,
@@ -30,7 +31,12 @@ from apolar.linalg import RationalMatrix
 from apolar.poly import contract_monomial
 
 from conftest import random_form, random_polynomial
-from oracles import group_index, perturbation_block, verify_block_structure
+from oracles import (
+    group_index,
+    perturbation_block,
+    reduce_generators_reference,
+    verify_block_structure,
+)
 
 
 def _quintic_pattern(z):
@@ -410,6 +416,125 @@ def test_reduce_absorbs_cubic_tail_of_quartic_into_cubic_generator():
     reduced = reduce_generators([Q, C])
     assert reduced[0].homogeneous_component(3).is_zero()
     assert same_submodule([Q, C], reduced)
+
+
+# Two-generator inputs on which a reduction combination uses more than one
+# contraction of the generator it reduces; subtracting those from the
+# generator as it was before the combination, instead of one after the
+# other, changes the result.
+SELF_CONTRACTING_PAIRS = [
+    (3, ["-y2^3 + 2*y2^2*y3 + y2*y3^2 + y1*y2 + 2*y3^2 - y1",
+         "-y2^3*y3 + y2*y3^3 - y1*y2^2 - 2*y1*y2*y3 - y1*y3^2 + y2^3 + 2*y1*y3"]),
+    (3, ["-2*y1^3 - y1^2*y2 - y2^2 + 2*y2*y3 - 2*y3^2 - 2*y2",
+         "y1^2*y2^2 - 2*y1^3 + y1^2*y2 + y1*y2^2 + 2*y1*y2*y3 + 2*y1*y3^2"
+         " + 2*y2^2*y3 - y1^2 + y1*y3 - y2^2 - 2*y1"]),
+]
+
+
+def assert_reduces_like_reference(gens):
+    got = reduce_generators(gens)
+    want = reduce_generators_reference(gens)
+    assert got == want
+    assert [str(g) for g in got] == [str(g) for g in want]
+
+
+@pytest.mark.parametrize("n, texts", SELF_CONTRACTING_PAIRS)
+def test_reduce_matches_reference_on_repeated_self_contractions(n, texts):
+    gens = [parse_dual(t, n) for t in texts]
+    self_uses = []
+    reduce_generators_reference(gens, self_uses)
+    assert max(self_uses) >= 2
+    assert_reduces_like_reference(gens)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_reduce_matches_reference(data):
+    # sparse leading forms, so that contractions of a top are dependent and
+    # the order of the subtractions shows in the lower components
+    import random
+
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    n = data.draw(st.integers(2, 3))
+    s = data.draw(st.integers(3, 5))
+    fractional = data.draw(st.booleans())
+    gens = []
+    for _ in range(data.draw(st.integers(2, 3))):
+        d = s - rng.randint(0, 1)
+        terms = {e: rng.choice([-2, -1, 1, 2]) for e in rng.sample(monomials(n, d), 2)}
+        for e in monomials_up_to(n, d - 1):
+            if rng.random() < 0.4:
+                c = Fraction(rng.randint(-2, 2))
+                terms[e] = c / rng.randint(1, 3) if fractional else c
+        gens.append(DualPolynomial(n, terms))
+    assert_reduces_like_reference(gens)
+
+
+# ---- the staircase shares its echelons --------------------------------------------
+
+
+def _dense_presentation(rng, n, degrees):
+    """Dense integer generators of the given degrees with tails in every degree."""
+    gens = tuple(
+        DualPolynomial(n, {e: rng.randint(-2, 2) for e in monomials_up_to(n, d)})
+        for d in degrees
+    )
+    return AlgebraPresentation(n, gens)
+
+
+STAIRCASE_SHAPES = [(2, (5,)), (3, (5,)), (3, (5, 4)), (2, (4, 4)), (3, (4, 3))]
+
+
+def test_staircase_keeps_every_top_component(rng, monkeypatch):
+    # after every step each generator's top component is the input's, and
+    # every reduction of the staircase matches the reference reduction
+    import apolar.grading as grading
+
+    reduced = []
+    original = grading.reduce_generators
+
+    def record(gens, **kwargs):
+        out = original(gens, **kwargs)
+        assert out == reduce_generators_reference(gens)
+        reduced.append(out)
+        return out
+
+    monkeypatch.setattr(grading, "reduce_generators", record)
+    steps = 0
+    for n, degrees in STAIRCASE_SHAPES:
+        pres = _dense_presentation(rng, n, degrees)
+        tops = [g.top_component() for g in pres.generators]
+        reduced.clear()
+        report = canonically_graded(pres)
+        assert len(reduced) == len(report.steps) + 1
+        for gens in reduced:
+            assert [g.top_component() for g in gens] == tops
+        steps += len(report.steps)
+    assert steps >= len(STAIRCASE_SHAPES) + 2
+
+
+def test_staircase_builds_each_echelon_once(rng, monkeypatch):
+    # one canonically_graded call builds the echelon of each (degree,
+    # allowed generators) at most once, however many reductions it runs
+    import apolar.grading as grading
+
+    built = []
+    original = grading.echelon_with_combinations
+
+    def record(rows):
+        built.append(tuple(map(tuple, rows)))
+        return original(rows)
+
+    monkeypatch.setattr(grading, "echelon_with_combinations", record)
+    for n, degrees in STAIRCASE_SHAPES:
+        pres = _dense_presentation(rng, n, degrees)
+        built.clear()
+        report = canonically_graded(pres)
+        assert built
+        assert len(built) == len(set(built))
+        built.clear()
+        assert replay_certificate(pres, report) == report.final_generators
+        assert len(built) == len(set(built))
 
 
 # ---- the full decision ----------------------------------------------------------
