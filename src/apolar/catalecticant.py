@@ -15,6 +15,7 @@ from .errors import DependentLeadingForms
 from .linalg import RationalMatrix
 from .poly import (
     DualPolynomial,
+    Exponent,
     degree_dimension,
     dual_coordinates,
     monomials,
@@ -87,12 +88,16 @@ def hilbert_function_of_form(G: DualPolynomial) -> HilbertFunction:
     )
 
 
-def _check_independent(forms: Sequence[DualPolynomial]) -> None:
-    mat = RationalMatrix.from_columns([dual_coordinates(G) for G in forms])
-    if mat.rank() == len(forms):
-        return
-    relation = mat.kernel_basis()[0]
-    raise DependentLeadingForms(relation)
+def check_independent(forms: Sequence[DualPolynomial]) -> None:
+    """Raise DependentLeadingForms, with a witness relation, on dependent forms.
+
+    Forms of different degrees cannot interact, so the check stacks plain
+    coefficient vectors over every exponent that appears.
+    """
+    exps = sorted({e for g in forms for e in g.terms}, key=Exponent.sort_key)
+    mat = RationalMatrix.from_columns([[g.coefficient(e) for e in exps] for g in forms])
+    if mat.rank() < len(forms):
+        raise DependentLeadingForms(mat.kernel_basis()[0])
 
 
 def is_compressed_level(forms: Sequence[DualPolynomial]) -> bool:
@@ -106,7 +111,7 @@ def is_compressed_level(forms: Sequence[DualPolynomial]) -> bool:
     degrees = {_require_form(G) for G in forms}
     if len(degrees) > 1:
         raise ValueError(f"mixed degrees {sorted(degrees)} in level presentation")
-    _check_independent(forms)
+    check_independent(forms)
     n = forms[0].num_vars
     s = forms[0].degree
     t = len(forms)

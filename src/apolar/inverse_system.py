@@ -4,27 +4,26 @@ A presentation is a finite set of dual polynomials G_1..G_t with linearly
 independent leading forms.  Its algebra is A = R/I where I is everything in
 R that contracts all generators to zero; A is a finite-dimensional local
 ring.  Its Hilbert function, length, socle type and compressedness are all
-read from one forward echelon of the dual module (`poly.dual_echelon`),
-computed once per presentation; the annihilators are kernels of
-contraction matrices.
+read from one forward echelon of the dual module M (`poly.dual_echelon`),
+computed once per presentation.  The annihilators are the orthogonal of
+that echelon under the pairing: f o G_r = 0 for every r exactly when
+<f, m> = 0 for every m in M.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .catalecticant import HilbertFunction, compressed_hilbert_function
-from .errors import DependentLeadingForms
+from .catalecticant import HilbertFunction, check_independent, compressed_hilbert_function
 from .linalg import RationalMatrix
 from .poly import (
     DualPolynomial,
     Exponent,
     JetPolynomial,
-    contract_monomial,
     dual_echelon,
+    echelon_columns,
     monomials,
     monomials_up_to,
 )
@@ -107,34 +106,25 @@ def macaulay_validate(pres: AlgebraPresentation) -> None:
     """Check the leading forms are linearly independent.
 
     Raises DependentLeadingForms carrying a witness relation otherwise.
-    Forms of different degrees cannot interact, so the check stacks plain
-    coefficient vectors over every exponent that appears.
     """
-    tops = pres.leading_forms()
-    exps = sorted({e for g in tops for e in g.terms}, key=Exponent.sort_key)
-    mat = RationalMatrix.from_columns([[g.coefficient(e) for e in exps] for g in tops])
-    if mat.rank() < len(tops):
-        raise DependentLeadingForms(mat.kernel_basis()[0])
+    check_independent(pres.leading_forms())
 
 
-def _contraction_kernel(
+def _orthogonal(
     pres: AlgebraPresentation, fmons: Sequence[Exponent], jet_order: int
 ) -> list[JetPolynomial]:
-    """Kernel of f -> (f o G_1, ..., f o G_t) over the span of fmons."""
-    n = pres.num_vars
-    s = pres.socle_degree
-    exps = monomials_up_to(n, s)
-    pos = {e: i for i, e in enumerate(exps)}
-    columns = []
-    for gamma in fmons:
-        col = []
-        for g in pres.generators:
-            block = [Fraction(0)] * len(exps)
-            for e, c in contract_monomial(gamma, g).terms.items():
-                block[pos[e]] = c
-            col.extend(block)
-        columns.append(col)
-    kernel = RationalMatrix.from_columns(columns).kernel_basis()
+    """Basis of the f in the span of fmons that pair to zero with M.
+
+    M is spanned by the rows m of `dual_echelon`; <x^gamma, m> is gamma! times
+    the coefficient of y^gamma in m, and 0 when |gamma| = s+1, beyond its columns.
+    """
+    n, s = pres.num_vars, pres.socle_degree
+    pos = {e: i for i, e in enumerate(echelon_columns(n, s))}
+    rows = [
+        [gamma.factorial() * r[pos[gamma]] if gamma.degree <= s else 0 for gamma in fmons]
+        for _, _, r in dual_echelon(pres.generators)
+    ]
+    kernel = RationalMatrix(rows).kernel_basis()
     return [
         JetPolynomial(n, jet_order, {fmons[k]: v[k] for k in range(len(fmons))})
         for v in kernel
@@ -147,7 +137,7 @@ def annihilator_slice(pres: AlgebraPresentation, degree: int) -> list[JetPolynom
         raise ValueError(f"degree must lie in 0..{pres.socle_degree + 1}")
     if degree == 0:
         return []
-    return _contraction_kernel(pres, monomials(pres.num_vars, degree), degree)
+    return _orthogonal(pres, monomials(pres.num_vars, degree), degree)
 
 
 def annihilator_upto(pres: AlgebraPresentation, degree: int) -> list[JetPolynomial]:
@@ -158,9 +148,7 @@ def annihilator_upto(pres: AlgebraPresentation, degree: int) -> list[JetPolynomi
     """
     if not 1 <= degree <= pres.socle_degree + 1:
         raise ValueError(f"degree must lie in 1..{pres.socle_degree + 1}")
-    n = pres.num_vars
-    fmons = [e for e in monomials_up_to(n, degree) if e.degree >= 1]
-    return _contraction_kernel(pres, fmons, degree)
+    return _orthogonal(pres, monomials_up_to(pres.num_vars, degree)[1:], degree)
 
 
 def hilbert_function(pres: AlgebraPresentation) -> HilbertFunction:

@@ -245,13 +245,9 @@ class RationalMatrix:
         rhs = _as_fraction_row(b)
         if len(rhs) != self.rows:
             raise ValueError("right-hand side length does not match row count")
-        aug = RationalMatrix(
-            [list(self._data[i]) + [rhs[i]] for i in range(self.rows)]
-            if self.rows
-            else []
-        )
         if self.rows == 0:
             return tuple(Fraction(0) for _ in range(self.cols))
+        aug = RationalMatrix([list(self._data[i]) + [rhs[i]] for i in range(self.rows)])
         red, pivots = aug.rref()
         if self.cols in pivots:
             return None

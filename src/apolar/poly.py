@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import comb, factorial, perm
 from typing import Iterable, Mapping, Sequence
 
@@ -79,13 +80,13 @@ def monomials(num_vars: int, degree: int) -> tuple[Exponent, ...]:
         raise ValueError("need at least one variable")
     if degree < 0:
         return ()
-    if num_vars == 1:
-        return (Exponent((degree,)),)
+    # Stars and bars: bar positions in lexicographic order give ascending exponents.
+    slots = degree + num_vars - 1
     out = []
-    for first in range(degree, -1, -1):
-        for rest in monomials(num_vars - 1, degree - first):
-            out.append(Exponent((first,) + tuple(rest)))
-    return tuple(out)
+    for bars in combinations(range(slots), num_vars - 1):
+        ends = (-1,) + bars + (slots,)
+        out.append(Exponent(b - a - 1 for a, b in zip(ends, ends[1:])))
+    return tuple(reversed(out))
 
 
 def monomials_up_to(num_vars: int, max_degree: int) -> tuple[Exponent, ...]:
@@ -398,6 +399,11 @@ def from_dual_coordinates(
 # ---------------------------------------------------------------------------
 
 
+def echelon_columns(num_vars: int, top: int) -> tuple[Exponent, ...]:
+    """The columns of `dual_echelon`: degree top down to 0, canonical inside a degree."""
+    return tuple(e for d in range(top, -1, -1) for e in monomials(num_vars, d))
+
+
 def dual_echelon(
     generators: Sequence[DualPolynomial],
 ) -> list[tuple[int, bool, list[int]]]:
@@ -413,7 +419,7 @@ def dual_echelon(
     """
     n = generators[0].num_vars
     top = max(g.degree for g in generators)
-    columns = [e for d in range(top, -1, -1) for e in monomials(n, d)]
+    columns = echelon_columns(n, top)
     pos = {e: i for i, e in enumerate(columns)}
 
     def row(p: DualPolynomial) -> list:

@@ -7,10 +7,10 @@ automorphism, and generator reduction as it was written before the
 staircase shared its echelons (one echelon table per call, one
 `DualPolynomial` subtraction per contraction).  And the invariants of a
 presentation computed the long way, without the dual echelon of
-`apolar.poly.dual_echelon`: the socle type on the quotient algebra A = R/I
-itself, the slice dimensions by one rank per degree, and the derivative
-spans by a Gauss-Jordan elimination with the columns of degree above j
-moved first.
+`apolar.poly.dual_echelon`: the annihilators as kernels of contraction
+matrices, the socle type on the quotient algebra A = R/I itself, the
+slice dimensions by one rank per degree, and the derivative spans by a
+Gauss-Jordan elimination with the columns of degree above j moved first.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from typing import Sequence
 from apolar import (
     AlgebraPresentation,
     DualPolynomial,
+    JetPolynomial,
     TruncatedAutomorphism,
     annihilator_upto,
     killing_matrix,
@@ -287,6 +288,39 @@ def filtered_derivative_span(
     return [
         DualPolynomial(n, {e: red2[i, k] for k, e in enumerate(exps_j)})
         for i in range(len(piv2))
+    ]
+
+
+# ---------------------------------------------------------------------------
+# annihilators, one contraction matrix per call
+# ---------------------------------------------------------------------------
+
+
+def contraction_kernel(
+    pres: AlgebraPresentation, fmons: Sequence[Exponent], jet_order: int
+) -> list[JetPolynomial]:
+    """Kernel of f -> (f o G_1, ..., f o G_t) over the span of fmons.
+
+    One column per monomial of fmons, holding the coefficients of x^gamma o G_r
+    for every r over monomials_up_to(n, s).
+    """
+    n = pres.num_vars
+    s = pres.socle_degree
+    exps = monomials_up_to(n, s)
+    pos = {e: i for i, e in enumerate(exps)}
+    columns = []
+    for gamma in fmons:
+        col = []
+        for g in pres.generators:
+            block = [Fraction(0)] * len(exps)
+            for e, c in contract_monomial(gamma, g).terms.items():
+                block[pos[e]] = c
+            col.extend(block)
+        columns.append(col)
+    kernel = RationalMatrix.from_columns(columns).kernel_basis()
+    return [
+        JetPolynomial(n, jet_order, {fmons[k]: v[k] for k in range(len(fmons))})
+        for v in kernel
     ]
 
 

@@ -17,6 +17,14 @@ def test_hilbert_text(capsys):
     assert "hilbert_function: 1 2 3 3 2 1" in out
 
 
+def test_hilbert_many_variables(capsys):
+    # the monomial enumeration must not recurse once per variable
+    code, out, err = run(capsys, "hilbert", "-n", "1200", "y1", "--format", "structured")
+    assert code == 0
+    assert err == ""
+    assert json.loads(out)["hilbert_function"] == [1, 1]
+
+
 def test_hilbert_check_agrees(capsys):
     code, out, _ = run(
         capsys, "hilbert", "-n", "2", "y1^3*y2^2", "--check", "--format", "structured"

@@ -1,8 +1,9 @@
 """The invariants read from the dual echelon, against independent oracles.
 
-`hilbert_function`, `socle_type`, `slice_dimensions` and `derivative_span`
-all come from one forward echelon of the dual module (`dual_echelon`).  The
-oracles in `oracles.py` compute the same things the long way: the socle
+`hilbert_function`, `socle_type`, `slice_dimensions`, `derivative_span` and
+the annihilators all come from one forward echelon of the dual module
+(`dual_echelon`).  The oracles in `oracles.py` compute the same things the
+long way: the annihilators as kernels of contraction matrices, the socle
 type on the quotient algebra R/I, the slice dimensions by one rank per
 degree, the derivative spans by a Gauss-Jordan elimination with reordered
 columns.
@@ -11,7 +12,7 @@ columns.
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import apolar.inverse_system
 from apolar import (
@@ -19,6 +20,8 @@ from apolar import (
     DependentLeadingForms,
     DualPolynomial,
     algebra_length,
+    annihilator_slice,
+    annihilator_upto,
     derivative_span,
     hilbert_function,
     is_compressed,
@@ -31,7 +34,12 @@ from apolar import (
 )
 from apolar.poly import contract_monomial, dual_echelon
 
-from oracles import filtered_derivative_span, filtered_slice_dimensions, quotient_socle_type
+from oracles import (
+    contraction_kernel,
+    filtered_derivative_span,
+    filtered_slice_dimensions,
+    quotient_socle_type,
+)
 
 coefficients = st.one_of(
     st.integers(-3, 3).filter(bool).map(Fraction),
@@ -148,3 +156,23 @@ def test_dependent_leading_forms_raise_on_every_read():
     for read in (hilbert_function, socle_type, is_compressed, hilbert_function):
         with pytest.raises(DependentLeadingForms):
             read(pres)
+
+
+def _parsed(n, *texts):
+    return n, list(AlgebraPresentation.from_strings(n, texts).generators)
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_lists())
+@example(_parsed(2, "y1^2", "y1^2 + y1"))  # dependent leading forms
+@example(_parsed(2, "y1^2", "5"))  # a constant generator
+@example(_parsed(2, "1/2*y1^3*y2 - 2/3*y2^3 + y1", "3/4*y1*y2"))
+def test_annihilators_match_contraction_kernel(case):
+    # the annihilators do not validate, so dependent leading forms stay in
+    n, gens = case
+    pres = AlgebraPresentation(n, tuple(gens))
+    # JetPolynomial equality compares the terms and the truncation order
+    assert annihilator_slice(pres, 0) == []
+    for d in range(1, pres.socle_degree + 2):
+        assert annihilator_slice(pres, d) == contraction_kernel(pres, monomials(n, d), d)
+        assert annihilator_upto(pres, d) == contraction_kernel(pres, monomials_up_to(n, d)[1:], d)
