@@ -177,10 +177,10 @@ def socle_correction(num_vars: int, v: int, socle_type: Sequence[int]) -> int:
     max(0, dim R_{v-1} - sum_{u>=v} e_u * dim R_{u-v+1}); automatically 0
     whenever s >= 2(v-1) because the degree-s term alone dominates.
     """
-    if v < 1:
-        raise ValueError("initial degree must be >= 1")
-    E = tuple(int(e) for e in socle_type)
-    s = len(E) - 1
+    s = len(socle_type) - 1
+    E = _validate_socle_type(s, socle_type)
+    if not 1 <= v <= s + 1:
+        raise ValueError(f"initial degree must lie in 1..{s + 1}, got {v}")
     n = num_vars
     bound = sum(E[u] * degree_dimension(n, u - v + 1) for u in range(v, s + 1))
     return max(0, degree_dimension(n, v - 1) - bound)

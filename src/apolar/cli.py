@@ -15,13 +15,9 @@ import sys
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .catalecticant import (
-    catalecticant_matrix,
-    compressed_hilbert_function,
-    stacked_catalecticant,
-)
+from .catalecticant import compressed_hilbert_function, stacked_catalecticant
 from .errors import ApolarError, InvariantViolation, ParseError
-from .grading import canonically_graded, killing_matrix, stacked_killing_matrix
+from .grading import canonically_graded, stacked_killing_matrix
 from .inverse_system import (
     AlgebraPresentation,
     hilbert_function,
@@ -87,15 +83,11 @@ def _cmd_socle(args) -> dict:
 
 def _cmd_delta(args) -> dict:
     pres = _presentation(args)
-    forms = list(pres.generators)
-    if len(forms) == 1:
-        M = catalecticant_matrix(forms[0], args.order)
-    else:
-        M = stacked_catalecticant(forms, args.order)
+    M = stacked_catalecticant(pres.generators, args.order)
     return {
         "command": "delta",
         "num_vars": args.num_vars,
-        "generators": [str(g) for g in forms],
+        "generators": [str(g) for g in pres.generators],
         "order": args.order,
         **_matrix_doc(M),
     }
@@ -103,11 +95,7 @@ def _cmd_delta(args) -> dict:
 
 def _cmd_mmatrix(args) -> dict:
     pres = _presentation(args)
-    forms = [g.top_component() for g in pres.generators]
-    if len(forms) == 1:
-        M = killing_matrix(forms[0], args.step)
-    else:
-        M = stacked_killing_matrix(forms, args.step)
+    M = stacked_killing_matrix([g.top_component() for g in pres.generators], args.step)
     return {
         "command": "mmatrix",
         "num_vars": args.num_vars,

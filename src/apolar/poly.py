@@ -1,7 +1,10 @@
 """Exponents, dual polynomials, truncated jets, and the contraction action.
 
 The dual side lives in P = Q[y_1..y_n]; the series side in R/M^(s+1) with
-R = Q[[x_1..x_n]].  R acts on P by differentiation:
+R = Q[[x_1..x_n]].  Both hold the same data, a map from exponents to
+rationals, so `DualPolynomial` and `JetPolynomial` share one immutable
+polynomial core; a jet adds only its truncation order and the product.
+R acts on P by differentiation:
 
     x^a o y^b = b!/(b-a)! * y^(b-a)   if b >= a componentwise, else 0.
 
@@ -19,6 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial, perm
+from operator import add, index, sub
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import RationalMatrix, forward_echelon
@@ -35,7 +39,10 @@ class Exponent(tuple):
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int]):
-        parts = tuple(int(a) for a in parts)
+        try:
+            parts = tuple(map(index, parts))
+        except TypeError as exc:
+            raise ValueError(f"exponent parts must be integers: {exc}") from None
         if any(a < 0 for a in parts):
             raise ValueError(f"negative exponent in {parts}")
         return super().__new__(cls, parts)
@@ -48,10 +55,10 @@ class Exponent(tuple):
         return (sum(self), tuple(-a for a in self))
 
     def __add__(self, other: "Exponent") -> "Exponent":
-        return Exponent(a + b for a, b in zip(self, other))
+        return Exponent(map(add, self, other))
 
     def __sub__(self, other: "Exponent") -> "Exponent":
-        return Exponent(a - b for a, b in zip(self, other))
+        return Exponent(map(sub, self, other))
 
     def dominates(self, other: "Exponent") -> bool:
         """True when every part of self is >= the matching part of other."""
@@ -91,10 +98,7 @@ def monomials(num_vars: int, degree: int) -> tuple[Exponent, ...]:
 
 def monomials_up_to(num_vars: int, max_degree: int) -> tuple[Exponent, ...]:
     """Exponents of degree 0..max_degree, degree ascending then canonical."""
-    out: list[Exponent] = []
-    for d in range(max_degree + 1):
-        out.extend(monomials(num_vars, d))
-    return tuple(out)
+    return tuple(e for d in range(max_degree + 1) for e in monomials(num_vars, d))
 
 
 def degree_dimension(num_vars: int, degree: int) -> int:
@@ -102,37 +106,51 @@ def degree_dimension(num_vars: int, degree: int) -> int:
     return comb(num_vars - 1 + degree, num_vars - 1) if degree >= 0 else 0
 
 
-def _normalized_terms(num_vars: int, terms: Mapping) -> dict[Exponent, Fraction]:
+def _normalized_terms(num_vars: int, terms: Mapping, max_degree=None) -> dict[Exponent, Fraction]:
+    """Exponent -> nonzero Fraction, dropping the terms above max_degree (if given)."""
     out: dict[Exponent, Fraction] = {}
-    for e, c in terms.items():
+    for e, c in dict(terms).items():
         e = e if isinstance(e, Exponent) else Exponent(e)
         if len(e) != num_vars:
             raise ValueError(f"exponent {tuple(e)} has wrong arity, expected {num_vars}")
-        c = Fraction(c)
-        if c:
+        c = c if type(c) is Fraction else Fraction(c)
+        if c and (max_degree is None or e.degree <= max_degree):
             out[e] = c
     return out
 
 
-class DualPolynomial:
-    """Element of P = Q[y_1..y_n], stored in the plain monomial basis."""
+class _TermPolynomial:
+    """An immutable map from exponents to nonzero rationals: both sides of the pairing.
+
+    `_ring()` is the constructor arguments before the terms; `_like` builds
+    every result of arithmetic in the same kind and ring.
+    """
 
     __slots__ = ("num_vars", "terms")
 
     def __init__(self, num_vars: int, terms: Mapping = ()):
         object.__setattr__(self, "num_vars", int(num_vars))
-        object.__setattr__(self, "terms", _normalized_terms(num_vars, dict(terms)))
+        object.__setattr__(self, "terms", _normalized_terms(num_vars, terms))
 
     def __setattr__(self, name, value):
-        raise AttributeError("DualPolynomial is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _ring(self) -> tuple:
+        return (self.num_vars,)
+
+    def _like(self, terms: Mapping):
+        return type(self)(*self._ring(), terms)
+
+    def _check_compatible(self, other) -> None:
+        if other._ring() != self._ring() or type(other) is not type(self):
+            if type(self) is type(other) is DualPolynomial:
+                raise ValueError(f"variable-count mismatch: {self.num_vars} vs {other.num_vars}")
+            # A dual polynomial has no truncation order: mixing kinds is a jet mismatch.
+            raise ValueError("jet arity or truncation order mismatch")
 
     @classmethod
-    def zero(cls, num_vars: int) -> "DualPolynomial":
-        return cls(num_vars)
-
-    @classmethod
-    def monomial(cls, num_vars: int, exponent, coeff=1) -> "DualPolynomial":
-        return cls(num_vars, {Exponent(exponent): Fraction(coeff)})
+    def monomial(cls, num_vars: int, exponent, coeff=1):
+        return cls(num_vars, {Exponent(exponent): coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -145,79 +163,77 @@ class DualPolynomial:
     def is_homogeneous(self) -> bool:
         return len({e.degree for e in self.terms}) <= 1
 
-    def homogeneous_component(self, j: int) -> "DualPolynomial":
+    def homogeneous_component(self, j: int):
         """The degree-j part; summing over all j reconstructs the polynomial."""
-        return DualPolynomial(
-            self.num_vars, {e: c for e, c in self.terms.items() if e.degree == j}
-        )
+        return self._like({e: c for e, c in self.terms.items() if e.degree == j})
 
-    def top_component(self) -> "DualPolynomial":
+    def top_component(self):
         return self.homogeneous_component(self.degree)
 
     def coefficient(self, exponent) -> Fraction:
         return self.terms.get(Exponent(exponent), Fraction(0))
 
-    def __add__(self, other: "DualPolynomial") -> "DualPolynomial":
-        self._check_arity(other)
+    def __add__(self, other):
+        self._check_compatible(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return DualPolynomial(self.num_vars, out)
+            out[e] = out.get(e, 0) + c
+        return self._like(out)
 
-    def __sub__(self, other: "DualPolynomial") -> "DualPolynomial":
+    def __sub__(self, other):
         return self + (-other)
 
-    def __neg__(self) -> "DualPolynomial":
-        return DualPolynomial(self.num_vars, {e: -c for e, c in self.terms.items()})
+    def __neg__(self):
+        return self._like({e: -c for e, c in self.terms.items()})
 
-    def scaled(self, factor) -> "DualPolynomial":
+    def scaled(self, factor):
         f = Fraction(factor)
-        return DualPolynomial(self.num_vars, {e: f * c for e, c in self.terms.items()})
+        return self._like({e: f * c for e, c in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, DualPolynomial)
-            and self.num_vars == other.num_vars
+            type(other) is type(self)
+            and other._ring() == self._ring()
             and self.terms == other.terms
         )
 
     def __hash__(self):
-        return hash((self.num_vars, frozenset(self.terms.items())))
+        return hash(self._ring() + (frozenset(self.terms.items()),))
 
     def __repr__(self) -> str:
         from .parsing import format_polynomial
 
-        return f"DualPolynomial({self.num_vars}, {format_polynomial(self)!r})"
+        ring = ", ".join(map(str, self._ring()))
+        return f"{type(self).__name__}({ring}, {format_polynomial(self)!r})"
 
     def __str__(self) -> str:
         from .parsing import format_polynomial
 
         return format_polynomial(self)
 
-    def _check_arity(self, other) -> None:
-        if self.num_vars != other.num_vars:
-            raise ValueError(
-                f"variable-count mismatch: {self.num_vars} vs {other.num_vars}"
-            )
+
+class DualPolynomial(_TermPolynomial):
+    """Element of P = Q[y_1..y_n], stored in the plain monomial basis."""
+
+    __slots__ = ()
+
+    @classmethod
+    def zero(cls, num_vars: int) -> "DualPolynomial":
+        return cls(num_vars)
 
 
-class JetPolynomial:
+class JetPolynomial(_TermPolynomial):
     """Element of R/M^(s+1): a polynomial truncated beyond degree s."""
 
-    __slots__ = ("num_vars", "truncation_order", "terms")
+    __slots__ = ("truncation_order",)
 
     def __init__(self, num_vars: int, truncation_order: int, terms: Mapping = ()):
         object.__setattr__(self, "num_vars", int(num_vars))
         object.__setattr__(self, "truncation_order", int(truncation_order))
-        kept = {
-            e: c
-            for e, c in _normalized_terms(num_vars, dict(terms)).items()
-            if e.degree <= truncation_order
-        }
-        object.__setattr__(self, "terms", kept)
+        object.__setattr__(self, "terms", _normalized_terms(num_vars, terms, truncation_order))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("JetPolynomial is immutable")
+    def _ring(self) -> tuple:
+        return (self.num_vars, self.truncation_order)
 
     @classmethod
     def one(cls, num_vars: int, truncation_order: int) -> "JetPolynomial":
@@ -231,38 +247,8 @@ class JetPolynomial:
     def monomial(cls, num_vars, truncation_order, exponent, coeff=1) -> "JetPolynomial":
         return cls(num_vars, truncation_order, {Exponent(exponent): coeff})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
-    def degree(self) -> int:
-        return max((e.degree for e in self.terms), default=-1)
-
     def constant_term(self) -> Fraction:
-        return self.terms.get(Exponent((0,) * self.num_vars), Fraction(0))
-
-    def homogeneous_component(self, j: int) -> "JetPolynomial":
-        return JetPolynomial(
-            self.num_vars,
-            self.truncation_order,
-            {e: c for e, c in self.terms.items() if e.degree == j},
-        )
-
-    def __add__(self, other: "JetPolynomial") -> "JetPolynomial":
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return JetPolynomial(self.num_vars, self.truncation_order, out)
-
-    def __sub__(self, other: "JetPolynomial") -> "JetPolynomial":
-        return self + other.scaled(-1)
-
-    def scaled(self, factor) -> "JetPolynomial":
-        f = Fraction(factor)
-        return JetPolynomial(
-            self.num_vars, self.truncation_order, {e: f * c for e, c in self.terms.items()}
-        )
+        return self.coefficient((0,) * self.num_vars)
 
     def __mul__(self, other: "JetPolynomial") -> "JetPolynomial":
         """Product truncated beyond the truncation order."""
@@ -270,42 +256,11 @@ class JetPolynomial:
         s = self.truncation_order
         out: dict[Exponent, Fraction] = {}
         for e1, c1 in self.terms.items():
-            if e1.degree > s:
-                continue
             for e2, c2 in other.terms.items():
                 e = e1 + e2
-                if e.degree > s:
-                    continue
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return JetPolynomial(self.num_vars, s, out)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, JetPolynomial)
-            and self.num_vars == other.num_vars
-            and self.truncation_order == other.truncation_order
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.num_vars, self.truncation_order, frozenset(self.terms.items())))
-
-    def __repr__(self) -> str:
-        from .parsing import format_polynomial
-
-        return (
-            f"JetPolynomial({self.num_vars}, {self.truncation_order}, "
-            f"{format_polynomial(self)!r})"
-        )
-
-    def __str__(self) -> str:
-        from .parsing import format_polynomial
-
-        return format_polynomial(self)
-
-    def _check_compatible(self, other) -> None:
-        if self.num_vars != other.num_vars or self.truncation_order != other.truncation_order:
-            raise ValueError("jet arity or truncation order mismatch")
+                if e.degree <= s:
+                    out[e] = out.get(e, 0) + c1 * c2
+        return self._like(out)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +281,7 @@ def add_contraction(out: dict, alpha: Sequence[int], terms: Mapping, factor=1) -
                 break
             scale *= perm(b, a)
         else:
-            rest = Exponent(b - a for b, a in zip(beta, alpha))
+            rest = Exponent(map(sub, beta, alpha))
             out[rest] = out.get(rest, 0) + factor * scale * c
     return out
 
@@ -339,9 +294,7 @@ def contract_monomial(alpha: Exponent, g: DualPolynomial) -> DualPolynomial:
 def contract(f: JetPolynomial, g: DualPolynomial) -> DualPolynomial:
     """f o g = f(d/dy_1, ..., d/dy_n) applied to g."""
     if f.num_vars != g.num_vars:
-        raise ValueError(
-            f"variable-count mismatch: {f.num_vars} vs {g.num_vars}"
-        )
+        raise ValueError(f"variable-count mismatch: {f.num_vars} vs {g.num_vars}")
     out: dict = {}
     for alpha, c in f.terms.items():
         add_contraction(out, alpha, g.terms, c)

@@ -192,6 +192,18 @@ def test_socle_correction_direct_value():
     assert socle_correction(3, 3, (0, 0, 0, 1)) == 3
 
 
+def test_socle_correction_validates():
+    # v = s + 1: no socle term binds, so the whole of R_s is forced
+    assert socle_correction(2, 3, (0, 0, 1)) == 3
+    for v in (0, 4, 9):
+        with pytest.raises(ValueError, match="initial degree"):
+            socle_correction(2, v, (0, 0, 1))
+    with pytest.raises(ValueError):
+        socle_correction(2, 2, (0, 0, 0))  # e_s = 0
+    with pytest.raises(ValueError):
+        socle_correction(2, 2, (0, -1, 1))  # negative entry
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.data())
 def test_transpose_symmetry_random(data):

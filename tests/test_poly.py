@@ -39,6 +39,15 @@ def test_exponent_rejects_negative():
         Exponent((1, -1))
 
 
+@pytest.mark.parametrize("parts", [(1.5, 0), (1.0, 0), ("1", 0), (Fraction(2), 0)])
+def test_exponent_rejects_non_integers(parts):
+    # parts used to be truncated with int(): (1.5, 0) read as (1, 0)
+    with pytest.raises(ValueError, match="exponent parts must be integers"):
+        Exponent(parts)
+    with pytest.raises(ValueError, match="exponent parts must be integers"):
+        DualPolynomial(2, {parts: 1})
+
+
 def test_monomials_canonical_order():
     got = [tuple(e) for e in monomials(2, 5)]
     assert got == [(5, 0), (4, 1), (3, 2), (2, 3), (1, 4), (0, 5)]
@@ -84,6 +93,74 @@ def test_contract_kills_quintic_generator():
 def test_contract_variable_count_mismatch():
     with pytest.raises(ValueError):
         contract(j("x1", n=3), parse_dual("y1", 2))
+
+
+# ---- the polynomial core shared by dual polynomials and jets -----------------
+
+
+def test_dual_and_jet_with_equal_terms_differ():
+    terms = {(1, 0): 2, (0, 2): Fraction(-1, 3)}
+    dual, jet = DualPolynomial(2, terms), JetPolynomial(2, 3, terms)
+    assert dual.terms == jet.terms
+    assert dual != jet and jet != dual
+    assert len({dual, jet}) == 2
+
+
+def test_equal_values_hash_equally():
+    a = DualPolynomial(2, {(1, 0): 2, (0, 1): 0})
+    b = DualPolynomial(2, {Exponent((1, 0)): Fraction(4, 2)})
+    assert a == b and hash(a) == hash(b)
+    assert hash(a) == hash((2, frozenset(a.terms.items())))
+    # terms beyond the truncation order are dropped before hashing
+    c = JetPolynomial(2, 2, {(1, 0): 1, (3, 0): 5})
+    d = JetPolynomial(2, 2, {(1, 0): Fraction(1)})
+    assert c == d and hash(c) == hash(d)
+    assert hash(c) == hash((2, 2, frozenset(c.terms.items())))
+    assert JetPolynomial(2, 3, {(1, 0): 1}) != c
+
+
+@pytest.mark.parametrize("op", ["__add__", "__sub__"])
+def test_arithmetic_across_kinds_and_rings_is_refused(op):
+    def combine(p, q):
+        return getattr(p, op)(q)
+
+    with pytest.raises(ValueError, match="^variable-count mismatch: 2 vs 3$"):
+        combine(DualPolynomial(2, {(1, 0): 1}), DualPolynomial(3, {(1, 0, 0): 1}))
+    jet_mismatch = "^jet arity or truncation order mismatch$"
+    for p, q in [
+        (JetPolynomial(2, 3), JetPolynomial(3, 3)),
+        (JetPolynomial(2, 3), JetPolynomial(2, 4)),
+        (DualPolynomial(2), JetPolynomial(2, 3)),
+        (JetPolynomial(2, 3), DualPolynomial(2)),
+    ]:
+        with pytest.raises(ValueError, match=jet_mismatch):
+            combine(p, q)
+    with pytest.raises(ValueError, match=jet_mismatch):
+        JetPolynomial(2, 3) * JetPolynomial(2, 4)
+
+
+def test_jet_truncates_on_construction_and_in_products():
+    jet = JetPolynomial(2, 2, {(0, 0): 1, (1, 0): 1, (2, 1): 7, (0, 3): 1})
+    assert jet.terms == {(0, 0): 1, (1, 0): 1}
+    x1 = JetPolynomial.variable(2, 2, 0)
+    assert (x1 * x1 * x1).is_zero()
+    assert jet * jet == JetPolynomial(2, 2, {(0, 0): 1, (1, 0): 2, (2, 0): 1})
+    assert JetPolynomial.monomial(2, 1, (1, 1)).is_zero()
+
+
+def test_polynomials_are_immutable():
+    for p, name in [(DualPolynomial(2), "DualPolynomial"), (JetPolynomial(2, 3), "JetPolynomial")]:
+        for attr in ("num_vars", "terms", "truncation_order", "other"):
+            with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+                setattr(p, attr, 1)
+
+
+def test_repr_and_str():
+    terms = {(1, 0): Fraction(1, 2), (0, 2): -3}
+    dual, jet = DualPolynomial(2, terms), JetPolynomial(2, 3, {**terms, (0, 4): 1})
+    assert repr(dual) == "DualPolynomial(2, '-3*y2^2 + 1/2*y1')"
+    assert repr(jet) == "JetPolynomial(2, 3, '-3*x2^2 + 1/2*x1')"
+    assert str(dual) == "-3*y2^2 + 1/2*y1" and str(jet) == "-3*x2^2 + 1/2*x1"
 
 
 # ---- homogeneous components --------------------------------------------------
