@@ -49,7 +49,7 @@ from .inverse_system import (
     socle_type,
     type_mismatch_warning,
 )
-from .linalg import Rational, RationalMatrix
+from .linalg import RationalMatrix
 from .parsing import format_polynomial, parse_dual, parse_jet
 from .poly import (
     DualPolynomial,
@@ -81,7 +81,6 @@ __all__ = [
     "KillingStep",
     "Obstruction",
     "ParseError",
-    "Rational",
     "RationalMatrix",
     "SocleDegreeTooLarge",
     "SocleType",

@@ -17,8 +17,7 @@ vanishes once |k| times the least degree of the h_j exceeds deg g.  No
 matrix over the monomial basis is formed.  `matrix()` builds that matrix
 (the column of x^b holds the coordinates of phi(x^b)), so [F] = [g] * matrix()
 in dual coordinates; it is the dense reference the tests check the
-contraction formula against, and phi.then(psi), which applies phi first, has
-matrix psi.matrix() @ phi.matrix().
+contraction formula against.
 """
 
 from __future__ import annotations
@@ -65,14 +64,6 @@ class TruncatedAutomorphism:
     # ---- constructors ------------------------------------------------------
 
     @classmethod
-    def identity(cls, num_vars: int, truncation_order: int) -> "TruncatedAutomorphism":
-        return cls(
-            num_vars,
-            truncation_order,
-            [JetPolynomial.variable(num_vars, truncation_order, j) for j in range(num_vars)],
-        )
-
-    @classmethod
     def with_perturbation(
         cls, num_vars: int, truncation_order: int, gap: int, coefficients: Sequence
     ) -> "TruncatedAutomorphism":
@@ -115,25 +106,6 @@ class TruncatedAutomorphism:
             result = self.image_of_exponent(e - Exponent.unit(self.num_vars, j)) * self.images[j]
         memo[e] = result
         return result
-
-    def apply(self, f: JetPolynomial) -> JetPolynomial:
-        """Substitute the variable images into f."""
-        if f.num_vars != self.num_vars or f.truncation_order != self.truncation_order:
-            raise ValueError("jet does not live in this truncated ring")
-        acc = JetPolynomial(self.num_vars, self.truncation_order)
-        for e, c in f.terms.items():
-            acc = acc + self.image_of_exponent(e).scaled(c)
-        return acc
-
-    def then(self, other: "TruncatedAutomorphism") -> "TruncatedAutomorphism":
-        """The composite that applies self first, then other."""
-        if (self.num_vars, self.truncation_order) != (other.num_vars, other.truncation_order):
-            raise ValueError("automorphisms live in different truncated rings")
-        return TruncatedAutomorphism(
-            self.num_vars,
-            self.truncation_order,
-            [other.apply(img) for img in self.images],
-        )
 
     def matrix(self) -> RationalMatrix:
         """Matrix over the monomial basis; column of x^b holds phi(x^b).

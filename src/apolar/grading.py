@@ -60,24 +60,29 @@ def killing_matrix(form: DualPolynomial, gap: int) -> RationalMatrix:
     For a form of degree d, rows run over exponents W of degree d-gap and
     columns over pairs (j, i) with |i| = gap+1; the entry is
     w_j * alpha_{W - delta_j + i} in the dual coordinates alpha of the form.
+    So row W, block j is w_j times row W - delta_j of the order-(gap+1)
+    catalecticant (zero when w_j = 0): every row of the killing matrix is a
+    scaled catalecticant row, which `rank_criterion` rests on.
     """
     if form.is_zero() or not form.is_homogeneous():
         raise ValueError("expected a nonzero homogeneous polynomial")
     d = form.degree
+    if d < 2:
+        raise ValueError(f"a form of degree {d} has no killing matrix (degree must be at least 2)")
     if not 1 <= gap <= d - 1:
         raise ValueError(f"gap must lie in 1..{d - 1}")
     n = form.num_vars
-    alpha = dict(zip(monomials(n, d), dual_coordinates(form)))
-    cols = [(j, i) for j in range(n) for i in monomials(n, gap + 1)]
+    delta = catalecticant_matrix(form, gap + 1)
+    delta_row = {L: delta.row(k) for k, L in enumerate(monomials(n, d - gap - 1))}
+    zero = (Fraction(0),) * delta.cols
     rows = []
     for W in monomials(n, d - gap):
         row = []
-        for j, i in cols:
-            if W[j] == 0:
-                row.append(Fraction(0))
-                continue
-            shifted = tuple(W[k] - (1 if k == j else 0) + i[k] for k in range(n))
-            row.append(W[j] * alpha[Exponent(shifted)])
+        for j, w in enumerate(W):
+            if w:
+                row.extend(w * x for x in delta_row[W[:j] + (w - 1,) + W[j + 1 :]])
+            else:
+                row.extend(zero)
         rows.append(row)
     return RationalMatrix(rows)
 

@@ -20,8 +20,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-Rational = Fraction
-
 Vector = tuple[Fraction, ...]
 
 
@@ -119,14 +117,6 @@ class RationalMatrix:
     # ---- construction helpers -------------------------------------------
 
     @classmethod
-    def identity(cls, k: int) -> "RationalMatrix":
-        return cls([[Fraction(int(i == j)) for j in range(k)] for i in range(k)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls([[Fraction(0)] * cols for _ in range(rows)])
-
-    @classmethod
     def from_columns(cls, columns: Sequence[Sequence]) -> "RationalMatrix":
         cols = [_as_fraction_row(c) for c in columns]
         if not cols:
@@ -156,11 +146,10 @@ class RationalMatrix:
     def row(self, i: int) -> Vector:
         return self._data[i]
 
-    def column(self, j: int) -> Vector:
-        return tuple(r[j] for r in self._data)
-
-    def to_lists(self) -> list[list[Fraction]]:
-        return [list(r) for r in self._data]
+    def transpose(self) -> "RationalMatrix":
+        return RationalMatrix(
+            [[self._data[i][j] for i in range(self.rows)] for j in range(self.cols)]
+        )
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalMatrix) and self._data == other._data
@@ -170,37 +159,6 @@ class RationalMatrix:
 
     def __repr__(self) -> str:
         return f"RationalMatrix({self.rows}x{self.cols})"
-
-    # ---- arithmetic ------------------------------------------------------
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            [[self._data[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
-
-    def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        ot = other.transpose()._data
-        return RationalMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self._data]
-        )
-
-    def apply(self, vector: Sequence) -> Vector:
-        """Matrix times column vector."""
-        v = _as_fraction_row(vector)
-        if len(v) != self.cols:
-            raise ValueError("vector length does not match column count")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self._data)
-
-    def row_apply(self, vector: Sequence) -> Vector:
-        """Row vector times matrix."""
-        v = _as_fraction_row(vector)
-        if len(v) != self.rows:
-            raise ValueError("vector length does not match row count")
-        return tuple(
-            sum(v[i] * self._data[i][j] for i in range(self.rows)) for j in range(self.cols)
-        )
 
     # ---- elimination -----------------------------------------------------
 

@@ -60,10 +60,6 @@ class Exponent(tuple):
     def __sub__(self, other: "Exponent") -> "Exponent":
         return Exponent(map(sub, self, other))
 
-    def dominates(self, other: "Exponent") -> bool:
-        """True when every part of self is >= the matching part of other."""
-        return all(a >= b for a, b in zip(self, other))
-
     def factorial(self) -> int:
         r = 1
         for a in self:
@@ -238,10 +234,6 @@ class JetPolynomial(_TermPolynomial):
     @classmethod
     def one(cls, num_vars: int, truncation_order: int) -> "JetPolynomial":
         return cls(num_vars, truncation_order, {Exponent((0,) * num_vars): 1})
-
-    @classmethod
-    def variable(cls, num_vars: int, truncation_order: int, j: int) -> "JetPolynomial":
-        return cls(num_vars, truncation_order, {Exponent.unit(num_vars, j): 1})
 
     @classmethod
     def monomial(cls, num_vars, truncation_order, exponent, coeff=1) -> "JetPolynomial":

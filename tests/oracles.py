@@ -1,11 +1,14 @@
 """Independent reference computations that only the tests use.
 
-Two kinds live here.  Cross-checks of the killing staircase: the closed
-form of a perturbation's top-degree block, a scan of the killing matrix's
-block structure, the dual action through the dense matrix of the
-automorphism, and generator reduction as it was written before the
-staircase shared its echelons (one echelon table per call, one
-`DualPolynomial` subtraction per contraction).  And the invariants of a
+Three kinds live here.  Matrix products and the algebra of truncated
+automorphisms: substituting the variable images into a jet, and
+composing two automorphisms.  Cross-checks of the killing staircase: the
+closed form of a perturbation's top-degree block, the killing matrix
+entry by entry from the dual coordinates, a scan of its block structure,
+the dual action through the dense matrix of the automorphism, and
+generator reduction as it was written before the staircase shared its
+echelons (one echelon table per call, one `DualPolynomial` subtraction
+per contraction).  And the invariants of a
 presentation computed the long way, without the dual echelon of
 `apolar.poly.dual_echelon`: the annihilators as kernels of contraction
 matrices, the socle type on the quotient algebra A = R/I itself, the
@@ -24,6 +27,7 @@ from apolar import (
     JetPolynomial,
     TruncatedAutomorphism,
     annihilator_upto,
+    dual_coordinates,
     killing_matrix,
 )
 from apolar.catalecticant import catalecticant_matrix
@@ -39,8 +43,75 @@ from apolar.inverse_system import SocleType
 
 
 # ---------------------------------------------------------------------------
+# matrix products and automorphism algebra
+# ---------------------------------------------------------------------------
+
+
+def matvec(M: RationalMatrix, vector: Sequence) -> tuple[Fraction, ...]:
+    """M times the column vector."""
+    if len(vector) != M.cols:
+        raise ValueError("vector length does not match column count")
+    return tuple(sum(a * b for a, b in zip(M.row(i), vector)) for i in range(M.rows))
+
+
+def vecmat(vector: Sequence, M: RationalMatrix) -> tuple[Fraction, ...]:
+    """The row vector times M."""
+    if len(vector) != M.rows:
+        raise ValueError("vector length does not match row count")
+    return tuple(sum(v * M[i, j] for i, v in enumerate(vector)) for j in range(M.cols))
+
+
+def matmul(A: RationalMatrix, B: RationalMatrix) -> RationalMatrix:
+    """The product A B."""
+    if A.cols != B.rows:
+        raise ValueError(f"shape mismatch {A.rows}x{A.cols} @ {B.rows}x{B.cols}")
+    return RationalMatrix([vecmat(A.row(i), B) for i in range(A.rows)])
+
+
+def substitute(phi: TruncatedAutomorphism, f: JetPolynomial) -> JetPolynomial:
+    """phi(f): the variable images of phi substituted into the jet f."""
+    if f.num_vars != phi.num_vars or f.truncation_order != phi.truncation_order:
+        raise ValueError("jet does not live in this truncated ring")
+    acc = JetPolynomial(phi.num_vars, phi.truncation_order)
+    for e, c in f.terms.items():
+        acc = acc + phi.image_of_exponent(e).scaled(c)
+    return acc
+
+
+def compose(phi: TruncatedAutomorphism, psi: TruncatedAutomorphism) -> TruncatedAutomorphism:
+    """The composite that applies phi first, then psi."""
+    if (phi.num_vars, phi.truncation_order) != (psi.num_vars, psi.truncation_order):
+        raise ValueError("automorphisms live in different truncated rings")
+    return TruncatedAutomorphism(
+        phi.num_vars, phi.truncation_order, [substitute(psi, img) for img in phi.images]
+    )
+
+
+# ---------------------------------------------------------------------------
 # the killing staircase
 # ---------------------------------------------------------------------------
+
+
+def killing_matrix_reference(form: DualPolynomial, gap: int) -> RationalMatrix:
+    """`apolar.killing_matrix` entry by entry: w_j * alpha_{W - delta_j + i}.
+
+    Rows over exponents W of degree d-gap, columns over pairs (j, i) with
+    |i| = gap+1, alpha the dual coordinates of the degree-d form.
+    """
+    d, n = form.degree, form.num_vars
+    alpha = dict(zip(monomials(n, d), dual_coordinates(form)))
+    cols = [(j, i) for j in range(n) for i in monomials(n, gap + 1)]
+    rows = []
+    for W in monomials(n, d - gap):
+        row = []
+        for j, i in cols:
+            if W[j] == 0:
+                row.append(Fraction(0))
+                continue
+            shifted = tuple(W[k] - (1 if k == j else 0) + i[k] for k in range(n))
+            row.append(W[j] * alpha[Exponent(shifted)])
+        rows.append(row)
+    return RationalMatrix(rows)
 
 
 def perturbation_block(
@@ -87,7 +158,7 @@ def dense_dual_apply(phi: TruncatedAutomorphism, g: DualPolynomial) -> DualPolyn
         raise ValueError("g does not fit the automorphism")
     basis = monomials_up_to(phi.num_vars, phi.truncation_order)
     row = [e.factorial() * g.coefficient(e) for e in basis]
-    out = phi.matrix().row_apply(row)
+    out = vecmat(row, phi.matrix())
     return DualPolynomial(phi.num_vars, {e: c / e.factorial() for e, c in zip(basis, out)})
 
 

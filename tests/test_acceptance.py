@@ -40,7 +40,7 @@ from apolar.linalg import RationalMatrix
 from apolar.poly import JetPolynomial
 
 from conftest import random_form, random_polynomial
-from oracles import perturbation_block
+from oracles import matvec, perturbation_block, substitute, vecmat
 
 
 def criterion(label):
@@ -307,12 +307,12 @@ def test_criterion_8_automorphism_identities():
         F = dual_apply(phi, g)
         for w in basis:
             jet = JetPolynomial.monomial(n, s, w)
-            assert pairing(jet, F) == pairing(phi.apply(jet), g)
+            assert pairing(jet, F) == pairing(substitute(phi, jet), g)
 
         # first-order identity between the block action and the killing matrix
         G = random_form(rng, n, s)
-        left = perturbation_block(n, s, gap, coeffs).row_apply(dual_coordinates(G))
-        right = killing_matrix(G, gap).apply(coeffs)
+        left = vecmat(dual_coordinates(G), perturbation_block(n, s, gap, coeffs))
+        right = matvec(killing_matrix(G, gap), coeffs)
         assert left == right
 
 

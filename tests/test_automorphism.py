@@ -18,20 +18,28 @@ from apolar.linalg import RationalMatrix
 from apolar.poly import Exponent
 
 from conftest import random_polynomial
-from oracles import dense_dual_apply, perturbation_block
+from oracles import compose, dense_dual_apply, matmul, perturbation_block, substitute
 
 
 def identity_is(phi):
     n, s = phi.num_vars, phi.truncation_order
     return all(
-        phi.images[j] == JetPolynomial.variable(n, s, j) for j in range(n)
+        phi.images[j] == JetPolynomial.monomial(n, s, Exponent.unit(n, j)) for j in range(n)
     )
+
+
+def identity_matrix(k):
+    return RationalMatrix([[int(i == j) for j in range(k)] for i in range(k)])
+
+
+def identity_automorphism(n, s):
+    return TruncatedAutomorphism.with_perturbation(n, s, 1, [0] * n * len(monomials(n, 2)))
 
 
 def test_zero_coefficients_give_identity():
     phi = TruncatedAutomorphism.with_perturbation(2, 4, 1, [0] * 6)
     assert identity_is(phi)
-    assert phi.matrix() == phi.matrix().identity(15)
+    assert phi.matrix() == identity_matrix(15)
 
 
 def test_perturbation_layout():
@@ -68,8 +76,8 @@ def test_nonzero_constant_rejected():
 
 
 def test_matrix_of_identity():
-    phi = TruncatedAutomorphism.identity(2, 3)
-    assert phi.matrix() == phi.matrix().identity(10)
+    phi = identity_automorphism(2, 3)
+    assert phi.matrix() == identity_matrix(10)
 
 
 def test_matrix_quintic_column_by_hand():
@@ -111,7 +119,7 @@ def test_matrix_of_diagonal_scaling():
 
 def test_perturbation_block_zero():
     B = perturbation_block(2, 4, 1, [0] * 6)
-    assert B == B.zeros(5, 4)
+    assert B == RationalMatrix([[0] * 4] * 5)
 
 
 def test_perturbation_block_single_entry():
@@ -130,8 +138,6 @@ def _block_of_matrix(phi, gap):
     row_ix = [basis.index(e) for e in monomials(n, s)]
     col_ix = [basis.index(e) for e in monomials(n, s - gap)]
     M = phi.matrix()
-    from apolar.linalg import RationalMatrix
-
     return RationalMatrix([[M[r, c] for c in col_ix] for r in row_ix])
 
 
@@ -167,7 +173,7 @@ def test_perturbation_block_linear_in_coefficients():
 
 def test_dual_apply_identity():
     g = parse_dual("y1^3*y2 + y2^3 - 2*y1", 2)
-    phi = TruncatedAutomorphism.identity(2, 4)
+    phi = identity_automorphism(2, 4)
     assert dual_apply(phi, g) == g
 
 
@@ -180,13 +186,13 @@ def test_dual_apply_linear_scaling():
 
 
 def test_dual_apply_degree_overflow():
-    phi = TruncatedAutomorphism.identity(2, 3)
+    phi = identity_automorphism(2, 3)
     with pytest.raises(ValueError):
         dual_apply(phi, parse_dual("y1^4", 2))
 
 
 def test_dual_apply_arity_mismatch():
-    phi = TruncatedAutomorphism.identity(2, 3)
+    phi = identity_automorphism(2, 3)
     with pytest.raises(ValueError):
         dual_apply(phi, parse_dual("y1^2", 3))
 
@@ -250,7 +256,7 @@ def test_pairing_identity(data):
     F = dual_apply(phi, g)
     for w in monomials_up_to(n, s):
         jet = JetPolynomial.monomial(n, s, w)
-        assert pairing(jet, F) == pairing(phi.apply(jet), g)
+        assert pairing(jet, F) == pairing(substitute(phi, jet), g)
 
 
 @settings(max_examples=20, deadline=None)
@@ -267,8 +273,8 @@ def test_composition_matrix_order(data):
             n, s, gap, [rng.randint(-2, 2) for _ in range(width)]
         )
     phi, psi = rand_phi(), rand_phi()
-    chained = phi.then(psi)
-    assert chained.matrix() == psi.matrix() @ phi.matrix()
+    chained = compose(phi, psi)
+    assert chained.matrix() == matmul(psi.matrix(), phi.matrix())
     # and the dual action factors the opposite way
     g = random_polynomial(rng, n, range(s + 1))
     assert dual_apply(chained, g) == dual_apply(phi, dual_apply(psi, g))

@@ -148,6 +148,17 @@ def test_too_few_variables_rejected(capsys, argv, num_vars, generator):
     assert err == "validation error: need at least one variable\n"
 
 
+@pytest.mark.parametrize("generator, degree", [("5", 0), ("y1", 1)])
+def test_mmatrix_refuses_low_degree(capsys, generator, degree):
+    code, out, err = run(capsys, "mmatrix", "-n", "2", "-p", "1", generator)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"validation error: a form of degree {degree} has no killing matrix"
+        " (degree must be at least 2)\n"
+    )
+
+
 def test_validation_error_exit_code(capsys):
     code, _, err = run(capsys, "hilbert", "-n", "2", "y1^2", "y1^2 + y1")
     assert code == 2

@@ -33,8 +33,11 @@ from apolar.poly import contract_monomial
 from conftest import random_form, random_polynomial
 from oracles import (
     group_index,
+    killing_matrix_reference,
+    matvec,
     perturbation_block,
     reduce_generators_reference,
+    vecmat,
     verify_block_structure,
 )
 
@@ -80,12 +83,39 @@ def test_killing_matrix_cubic_times_variable():
     G = parse_dual("y1^3*y2", 2)
     M = killing_matrix(G, 1)
     assert (M.rows, M.cols) == (4, 6)
-    assert M.to_lists() == [
+    assert [list(M.row(i)) for i in range(M.rows)] == [
         [0, 18, 0, 0, 0, 0],
         [12, 0, 0, 0, 6, 0],
         [0, 0, 0, 12, 0, 0],
         [0, 0, 0, 0, 0, 0],
     ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_killing_matrix_matches_entry_formula(data):
+    # built from catalecticant rows, the matrix equals the entry formula,
+    # entries and their type alike, at every gap
+    import random
+
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    n = data.draw(st.integers(1, 4))
+    d = data.draw(st.integers(2, 5))
+    G = DualPolynomial.zero(n)
+    while G.is_zero():
+        G = DualPolynomial(n, {
+            e: Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for e in monomials(n, d)
+        })
+    for gap in range(1, d):
+        M = killing_matrix(G, gap)
+        assert M == killing_matrix_reference(G, gap)
+        assert all(type(x) is Fraction for i in range(M.rows) for x in M.row(i))
+
+
+@pytest.mark.parametrize("text, degree", [("5", 0), ("y1 - 3*y2", 1)])
+def test_killing_matrix_refuses_low_degree(text, degree):
+    with pytest.raises(ValueError, match=f"^a form of degree {degree} has no killing matrix"):
+        killing_matrix(parse_dual(text, 2), 1)
 
 
 def _ternary_block_pattern(z):
@@ -273,8 +303,8 @@ def test_block_action_equals_killing_matrix_action(data):
     width = n * len(monomials(n, gap + 1))
     a = [rng.randint(-3, 3) for _ in range(width)]
     B = perturbation_block(n, s, gap, a)
-    left = B.row_apply(dual_coordinates(G))
-    right = killing_matrix(G, gap).apply(a)
+    left = vecmat(dual_coordinates(G), B)
+    right = matvec(killing_matrix(G, gap), a)
     assert left == right
 
 

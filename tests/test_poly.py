@@ -30,7 +30,6 @@ def test_exponent_arithmetic():
     assert (a + b) == Exponent((4, 2))
     assert (a - b) == Exponent((2, 0))
     assert a.degree == 4
-    assert a.dominates(b) and not b.dominates(a)
     assert Exponent((2, 3)).factorial() == 12
 
 
@@ -142,7 +141,7 @@ def test_arithmetic_across_kinds_and_rings_is_refused(op):
 def test_jet_truncates_on_construction_and_in_products():
     jet = JetPolynomial(2, 2, {(0, 0): 1, (1, 0): 1, (2, 1): 7, (0, 3): 1})
     assert jet.terms == {(0, 0): 1, (1, 0): 1}
-    x1 = JetPolynomial.variable(2, 2, 0)
+    x1 = JetPolynomial.monomial(2, 2, Exponent.unit(2, 0))
     assert (x1 * x1 * x1).is_zero()
     assert jet * jet == JetPolynomial(2, 2, {(0, 0): 1, (1, 0): 2, (2, 0): 1})
     assert JetPolynomial.monomial(2, 1, (1, 1)).is_zero()
