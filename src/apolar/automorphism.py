@@ -18,11 +18,18 @@ matrix over the monomial basis is formed.  `matrix()` builds that matrix
 (the column of x^b holds the coordinates of phi(x^b)), so [F] = [g] * matrix()
 in dual coordinates; it is the dense reference the tests check the
 contraction formula against.
+
+`dual_apply` works on integers.  The variable images and g are rational at
+the API; it writes g = N/D, h_j = H_j/q with one q for every j, and
+L = L'/l, computes every contraction and the substitution y -> L'y on
+integer numerators, and builds one `Fraction` per term of F, by a single
+division by the common denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial, lcm, prod
 from operator import add
 from typing import Sequence
 
@@ -32,6 +39,7 @@ from .poly import (
     Exponent,
     JetPolynomial,
     add_contraction,
+    integer_terms,
     monomials,
     monomials_up_to,
 )
@@ -142,6 +150,11 @@ def dual_apply(phi: TruncatedAutomorphism, g: DualPolynomial) -> DualPolynomial:
     delta_j) (module docstring).  Each G_k is reached once, from the k with
     its last nonzero entry removed, and the linear substitution y -> L y is
     memoized per monomial.
+
+    On integers, with g = N/D, h_j = H_j/q and L = L'/l: G_k = N_k / (D q^|k|)
+    with N_k = H_j o N_(k - delta_j), and (L y)^beta = (L' y)^beta / l^|beta|.
+    So every term of F is a numerator over T = D q^K l^B m, with K the
+    largest |k| reached, B = deg g and m the lcm of the k!.
     """
     if g.num_vars != phi.num_vars:
         raise ValueError("variable-count mismatch")
@@ -151,36 +164,37 @@ def dual_apply(phi: TruncatedAutomorphism, g: DualPolynomial) -> DualPolynomial:
         )
     n = phi.num_vars
     units = [(0,) * j + (1,) + (0,) * (n - j - 1) for j in range(n)]
-    higher = [[(e, c) for e, c in img.terms.items() if e.degree >= 2] for img in phi.images]
-    # the image of y_i under y -> L y, as (exponent, coefficient) pairs
+    num, den = integer_terms(g.terms)
+    higher = [{e: c for e, c in img.terms.items() if e.degree >= 2} for img in phi.images]
+    q = lcm(*(c.denominator for h in higher for c in h.values()))
+    higher = [[(e, c.numerator * (q // c.denominator)) for e, c in h.items()] for h in higher]
+    # the image of y_i under y -> L' y, as (exponent, coefficient) pairs
+    linear = [[img.terms.get(u, 0) for img in phi.images] for u in units]
+    l = lcm(*(c.denominator for row in linear for c in row if c))
     substituted = [
-        [(units[j], img.terms[u]) for j, img in enumerate(phi.images) if u in img.terms]
-        for u in units
+        [(units[j], c.numerator * (l // c.denominator)) for j, c in enumerate(row) if c]
+        for row in linear
     ]
     zero = (0,) * n
     memo = {zero: {zero: 1}}
 
     def substitute(beta: tuple) -> dict:
-        """(L y)^beta as a term dict, built from beta minus one variable."""
+        """(L' y)^beta as a term dict, built from beta minus one variable."""
         if beta not in memo:
             i = next(i for i, b in enumerate(beta) if b)
             out: dict = {}
             for gamma, c in substitute(beta[:i] + (beta[i] - 1,) + beta[i + 1 :]).items():
-                for u, l in substituted[i]:
+                for u, a in substituted[i]:
                     e = tuple(map(add, gamma, u))
-                    out[e] = out.get(e, 0) + c * l
+                    out[e] = out.get(e, 0) + c * a
             memo[beta] = out
         return memo[beta]
 
-    result: dict = {}
-    pending = [(zero, 0, g.terms)]
+    contractions = []
+    pending = [(zero, 0, num)]
     while pending:
         k, first, terms = pending.pop()
-        scale = Fraction(1, Exponent(k).factorial())
-        for beta, c in terms.items():
-            for gamma, l in substitute(beta).items():
-                e = tuple(map(add, gamma, k))
-                result[e] = result.get(e, 0) + scale * c * l
+        contractions.append((k, terms))
         for j in range(first, n):
             child: dict = {}
             for alpha, a in higher[j]:
@@ -188,4 +202,18 @@ def dual_apply(phi: TruncatedAutomorphism, g: DualPolynomial) -> DualPolynomial:
             child = {e: c for e, c in child.items() if c}
             if child:
                 pending.append((tuple(map(add, k, units[j])), j, child))
-    return DualPolynomial(n, result)
+
+    top_k = max(sum(k) for k, _ in contractions)
+    top_beta = max(g.degree, 0)
+    k_factorial = [prod(map(factorial, k)) for k, _ in contractions]
+    m = lcm(*k_factorial)
+    result: dict = {}
+    for (k, terms), kf in zip(contractions, k_factorial):
+        scale = q ** (top_k - sum(k)) * (m // kf)
+        for beta, c in terms.items():
+            c *= scale * l ** (top_beta - sum(beta))
+            for gamma, a in substitute(beta).items():
+                e = tuple(map(add, gamma, k))
+                result[e] = result.get(e, 0) + c * a
+    T = den * q**top_k * l**top_beta * m
+    return DualPolynomial(n, {e: Fraction(c, T) for e, c in result.items() if c})

@@ -12,6 +12,16 @@ Outcomes are reported honestly: GRADED comes with a replayable certificate,
 while OBSTRUCTED_RESTRICTED only asserts that no automorphism from this
 restricted family completes the failing step; it is not by itself a proof
 that the algebra fails to be canonically graded.
+
+The staircase computes on integers.  Generator reduction and the killing
+step write each generator as integer numerators over one denominator,
+keyed by plain exponent tuples; echelons, combinations and the stacked
+killing system are integer rows, eliminated by the integer cores of
+`linalg`.  `Fraction`s are built only where a result leaves: the
+coefficients of a reduced `DualPolynomial`, a `KillingStep`'s solution, and
+the matrix and target of an `Obstruction`, the one place a
+`RationalMatrix` is built.  `killing_matrix` is the `Fraction` view of the
+killing step's row builder.
 """
 
 from __future__ import annotations
@@ -19,23 +29,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from math import factorial, gcd, prod
+from operator import add
 from typing import Optional, Sequence, Union
 
 from .automorphism import TruncatedAutomorphism, dual_apply
 from .catalecticant import catalecticant_matrix
 from .errors import InvariantViolation, SocleDegreeTooLarge
 from .inverse_system import AlgebraPresentation, macaulay_validate
-from .linalg import (
-    RationalMatrix,
-    echelon_with_combinations,
-    reduce_against,
-)
+from .linalg import RationalMatrix, combination_echelon, reduce_rows, solve_rows
 from .poly import (
     DualPolynomial,
     Exponent,
     add_contraction,
-    contract_monomial,
     dual_coordinates,
+    integer_terms,
     monomials,
 )
 
@@ -47,11 +55,42 @@ _MIXED_DEGREE_NOTE = (
     "generators of unequal degrees: each killing step stacks blocks only for"
     " generators whose degree exceeds the current target degree"
 )
+_UNDECIDED_NOTE = (
+    "staircase completed but lower components of smaller-degree generators"
+    " remain; the restricted family cannot decide this input"
+)
 _RESTRICTED_NOTE = (
     "OBSTRUCTED_RESTRICTED rules out automorphisms with identity linear part"
     " and a single-degree perturbation at the failing step; it does not by"
     " itself prove the algebra is not canonically graded"
 )
+
+
+def _killing_rows(terms: dict, num_vars: int, degree: int, gap: int) -> list[list]:
+    """Rows of the killing matrix of the degree-`degree` form with these terms.
+
+    The coefficients may be integers or `Fraction`s; the entries are of the
+    same kind, and terms of other degrees are ignored.  Row W, block j is
+    w_j times the catalecticant row W - delta_j (zero when w_j = 0).
+    """
+    n = num_vars
+    beta = {e: prod(map(factorial, e)) * c for e, c in terms.items() if sum(e) == degree}
+    columns = monomials(n, gap + 1)
+    catalecticant_row: dict = {}
+    zero = [0] * len(columns)
+    rows = []
+    for W in monomials(n, degree - gap):
+        row = []
+        for j, w in enumerate(W):
+            if not w:
+                row.extend(zero)
+                continue
+            L = W[:j] + (w - 1,) + W[j + 1 :]
+            if L not in catalecticant_row:
+                catalecticant_row[L] = [beta.get(tuple(map(add, L, i)), 0) for i in columns]
+            row.extend(w * x for x in catalecticant_row[L])
+        rows.append(row)
+    return rows
 
 
 def killing_matrix(form: DualPolynomial, gap: int) -> RationalMatrix:
@@ -71,20 +110,7 @@ def killing_matrix(form: DualPolynomial, gap: int) -> RationalMatrix:
         raise ValueError(f"a form of degree {d} has no killing matrix (degree must be at least 2)")
     if not 1 <= gap <= d - 1:
         raise ValueError(f"gap must lie in 1..{d - 1}")
-    n = form.num_vars
-    delta = catalecticant_matrix(form, gap + 1)
-    delta_row = {L: delta.row(k) for k, L in enumerate(monomials(n, d - gap - 1))}
-    zero = (Fraction(0),) * delta.cols
-    rows = []
-    for W in monomials(n, d - gap):
-        row = []
-        for j, w in enumerate(W):
-            if w:
-                row.extend(w * x for x in delta_row[W[:j] + (w - 1,) + W[j + 1 :]])
-            else:
-                row.extend(zero)
-        rows.append(row)
-    return RationalMatrix(rows)
+    return RationalMatrix(_killing_rows(form.terms, form.num_vars, d, gap))
 
 
 def stacked_killing_matrix(forms: Sequence[DualPolynomial], gap: int) -> RationalMatrix:
@@ -130,22 +156,19 @@ def rank_criterion(form: DualPolynomial, gap: int) -> bool:
 
 
 def _span_rows(
-    tops: Sequence[DualPolynomial], degree: int, allowed: Sequence[int]
-) -> tuple[list[list[Fraction]], list[tuple[int, Exponent]]]:
-    """Degree-`degree` contractions of the allowed top forms, with provenance."""
-    n = tops[0].num_vars
+    tops: Sequence[dict], degrees: Sequence[int], n: int, degree: int, allowed: Sequence[int]
+) -> tuple[list[list[int]], list[tuple[int, Exponent]]]:
+    """Degree-`degree` contractions of the allowed tops' numerators, with provenance."""
     exps = monomials(n, degree)
     rows, tags = [], []
     for q in allowed:
-        T = tops[q]
-        if T.degree < degree:
+        if degrees[q] < degree:
             continue
-        for gamma in monomials(n, T.degree - degree):
-            cg = contract_monomial(gamma, T)
-            if cg.is_zero():
-                continue
-            rows.append([cg.coefficient(e) for e in exps])
-            tags.append((q, gamma))
+        for gamma in monomials(n, degrees[q] - degree):
+            cg = add_contraction({}, gamma, tops[q])
+            if cg:
+                rows.append([cg.get(e, 0) for e in exps])
+                tags.append((q, gamma))
     return rows, tags
 
 
@@ -174,6 +197,13 @@ def reduce_generators(
     same tops: the staircase passes one table to all its reductions, since
     its automorphisms keep the tops too.  Without it a table lives for
     this call only.
+
+    On integers: generator r is N/D with a running denominator D, top q is
+    P_q / t_q with P_q integer, and the echelons are built from the P_q.
+    Reducing the numerators of a component read under denominator D gives
+    combination coefficients c'_k for the rows of P_q; the coefficient for
+    the contraction of generator q is then c'_k * t_q / D, and subtracting
+    it multiplies D by the part of its denominator that D lacks.
     """
     gens = list(generators)
     if not gens:
@@ -182,18 +212,28 @@ def reduce_generators(
     degrees = [g.degree for g in gens]
     if echelons is None:
         echelons = {}
+    ints = [integer_terms(g.terms) for g in gens]
+    tops = [
+        integer_terms({e: c for e, c in g.terms.items() if sum(e) == d})
+        for g, d in zip(gens, degrees)
+    ]
 
     def echelon(j: int, allowed: tuple[int, ...]):
         if (j, allowed) not in echelons:
-            rows, tags = _span_rows([g.top_component() for g in gens], j, allowed)
-            echelons[j, allowed] = echelon_with_combinations(rows), tags
+            rows, tags = _span_rows([t for t, _ in tops], degrees, n, j, allowed)
+            width, count = len(monomials(n, j)), len(rows)
+            units = [[0] * k + [1] + [0] * (count - k - 1) for k in range(count)]
+            kept = combination_echelon([row + unit for row, unit in zip(rows, units)], width)
+            # a zero column for the 1 that reduce_rows carries for the vector
+            echelons[j, allowed] = [(row + [0], lead) for row, lead, _ in kept], tags
         return echelons[j, allowed]
 
     for r in range(len(gens)):
-        terms = dict(gens[r].terms)
+        num, den = ints[r]
+        num = dict(num)
         for j in range(degrees[r] - 1, -1, -1):
             exps = monomials(n, j)
-            vec = [terms.get(e, 0) for e in exps]
+            vec = [num.get(e, 0) for e in exps]
             if not any(vec):
                 continue
             ech, tags = echelon(j, tuple(range(len(gens))))
@@ -203,14 +243,23 @@ def reduce_generators(
                 ))
             if not ech:
                 continue
-            _, combo = reduce_against(ech, vec)
-            for c, (q, gamma) in zip(combo, tags):
-                if c:
+            # proportional to [residual | -combination | 1]
+            cur = reduce_rows(ech, vec + [0] * len(tags) + [1])
+            width, last = len(exps), cur[-1] * den
+            for k, (q, gamma) in enumerate(tags):
+                if cur[width + k]:
                     # a contraction of generator r itself sees the
                     # subtractions made so far
-                    source = dict(terms) if q == r else gens[q].terms
-                    add_contraction(terms, gamma, source, -c)
-        gens[r] = DualPolynomial(n, terms)
+                    source, source_den = (dict(num), den) if q == r else ints[q]
+                    # minus the combination coefficient, per numerator of generator q
+                    c = Fraction(cur[width + k] * tops[q][1], last * source_den)
+                    scale = c.denominator // gcd(den, c.denominator)
+                    if scale > 1:
+                        num = {e: v * scale for e, v in num.items()}
+                        den *= scale
+                    add_contraction(num, gamma, source, c.numerator * (den // c.denominator))
+        ints[r] = num, den
+        gens[r] = DualPolynomial(n, {e: Fraction(v, den) for e, v in num.items() if v})
     return gens
 
 
@@ -294,6 +343,10 @@ def killing_step(
     Stacks one killing-matrix block per participating generator and asks for
     coefficients a with [component] + a * M^T = 0 simultaneously.  Returns
     the (free-variables-zero) solution, or the obstruction certificate.
+
+    With generator r = N/D, block r is solved as K(top of N) a = -[component
+    of N]: both sides are D times the rational ones, so the stacked system is
+    integer and has the same solutions.
     """
     gens = list(generators)
     n = gens[0].num_vars
@@ -302,25 +355,33 @@ def killing_step(
     if not 1 <= gap <= s - 1:
         raise ValueError(f"gap must lie in 1..{s - 1}")
     parts = _participants(degrees, s, gap)
-    blocks, target = [], []
-    for r in parts:
-        top = gens[r].top_component()
-        blocks.append(killing_matrix(top, gap))
-        comp = gens[r].homogeneous_component(degrees[r] - gap)
-        target.extend(dual_coordinates(comp, degrees[r] - gap))
-    if not blocks:
+    if not parts:
         return tuple()
-    M = RationalMatrix.stacked(blocks)
-    solution = M.solve([-t for t in target])
-    if solution is None:
-        return Obstruction(
-            gap=gap,
-            matrix=M,
-            rank=M.rank(),
-            target=tuple(target),
-            generator_indices=tuple(parts),
-        )
-    return solution
+    rows = []
+    for r in parts:
+        d = degrees[r]
+        num, _ = integer_terms(gens[r].terms)
+        target = [prod(map(factorial, e)) * num.get(e, 0) for e in monomials(n, d - gap)]
+        for row, t in zip(_killing_rows(num, n, d, gap), target):
+            row.append(-t)
+            rows.append(row)
+    solution = solve_rows(rows, n * len(monomials(n, gap + 1)))
+    if solution is not None:
+        return solution
+    M = RationalMatrix.stacked([killing_matrix(gens[r].top_component(), gap) for r in parts])
+    return Obstruction(
+        gap=gap,
+        matrix=M,
+        rank=M.rank(),
+        target=tuple(
+            t
+            for r in parts
+            for t in dual_coordinates(
+                gens[r].homogeneous_component(degrees[r] - gap), degrees[r] - gap
+            )
+        ),
+        generator_indices=tuple(parts),
+    )
 
 
 def canonically_graded(pres: AlgebraPresentation) -> GradingReport:
@@ -347,9 +408,7 @@ def canonically_graded(pres: AlgebraPresentation) -> GradingReport:
         parts = _participants(degrees, s, gap)
         if not parts:
             continue
-        if all(
-            gens[r].homogeneous_component(degrees[r] - gap).is_zero() for r in parts
-        ):
+        if not any(sum(e) == degrees[r] - gap for r in parts for e in gens[r].terms):
             continue
         outcome = killing_step(gens, gap)
         if isinstance(outcome, Obstruction):
@@ -371,10 +430,7 @@ def canonically_graded(pres: AlgebraPresentation) -> GradingReport:
             final_generators=tuple(gens),
             notes=tuple(notes),
         )
-    notes.append(
-        "staircase completed but lower components of smaller-degree generators"
-        " remain; the restricted family cannot decide this input"
-    )
+    notes.append(_UNDECIDED_NOTE)
     return GradingReport(
         outcome=GradingOutcome.NOT_APPLICABLE,
         steps=tuple(steps),

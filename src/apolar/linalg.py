@@ -4,14 +4,21 @@ Everything in the toolkit that needs a rank, a kernel, or a solved linear
 system comes through here.  Matrices are immutable and their entries are
 `fractions.Fraction` at the API.  Elimination itself is fraction-free: each
 row is scaled to integers, a step replaces a row by lead*row - f*pivot_row,
-and the result is divided by the gcd of its entries (its content).  Entries
-become `Fraction`s again only in the results, by dividing each row by its
-pivot or its own input coefficient.
+and the result is divided by the gcd of its entries (its content).
+
+Integers stop and `Fraction`s begin at the results: `RationalMatrix.rref`
+divides each pivot row by its pivot, `solve_rows` divides the last entry of
+each Gauss-Jordan pivot row by its pivot entry, and `echelon_with_combinations`
+and `reduce_against` divide each row by its own input coefficient.  Callers
+that hold integer rows already (the killing step, generator reduction) call
+the integer cores `solve_rows`, `combination_echelon` and `reduce_rows`
+directly and build no `RationalMatrix`.
 
 Elimination is deterministic: pivots are the first nonzero entry scanning
 columns left to right and rows top to bottom.  That choice depends only on
-which entries are zero, so reduced forms, kernels, solutions and echelon
-pairs are the same, bit for bit, as those of a `Fraction` elimination.
+which entries are zero, and no row's scale changes which entries are, so
+reduced forms, kernels, solutions and echelon pairs are the same, bit for
+bit, as those of a `Fraction` elimination.
 """
 
 from __future__ import annotations
@@ -203,16 +210,55 @@ class RationalMatrix:
         rhs = _as_fraction_row(b)
         if len(rhs) != self.rows:
             raise ValueError("right-hand side length does not match row count")
-        if self.rows == 0:
-            return tuple(Fraction(0) for _ in range(self.cols))
-        aug = RationalMatrix([list(self._data[i]) + [rhs[i]] for i in range(self.rows)])
-        red, pivots = aug.rref()
-        if self.cols in pivots:
-            return None
-        x = [Fraction(0)] * self.cols
-        for i, c in enumerate(pivots):
-            x[c] = red[i, self.cols]
-        return tuple(x)
+        return solve_rows(
+            [_integer_row(row + (v,)) for row, v in zip(self._data, rhs)], self.cols
+        )
+
+
+def solve_rows(rows: list[list[int]], ncols: int) -> Optional[Vector]:
+    """Solve the integer augmented system [A | b]: some x with A @ x = b, or None.
+
+    Each row holds `ncols` entries of A and then its entry of b; the rows are
+    eliminated in place (Gauss-Jordan).  b lies outside the column space of A
+    exactly when the last column gets a pivot.  Free variables are zero, so
+    x_c is the last entry of the pivot row of column c over its pivot entry.
+    """
+    pivots = _echelon(rows, ncols + 1, reduced=True)
+    if pivots and pivots[-1][1] == ncols:
+        return None
+    x = [_ZERO] * ncols
+    for i, c in pivots:
+        v = rows[i][ncols]
+        if v:
+            x[c] = Fraction(v, rows[i][c])
+    return tuple(x)
+
+
+def combination_echelon(rows: Sequence[list[int]], width: int) -> list[tuple[list[int], int, int]]:
+    """Forward echelon of integer rows [vector | combination], in input order.
+
+    The first `width` entries of a row are a vector, the rest its combination
+    of some inputs.  Each row in turn is reduced against the rows kept so
+    far, at their lead columns, and kept when its vector part is nonzero.
+    Returns (row, lead column, input index) per kept row.
+    """
+    kept: list[tuple[list[int], int, int]] = []
+    for k, cur in enumerate(rows):
+        for row, col, _ in kept:
+            if cur[col]:
+                cur = _eliminate(cur, row, col)
+        lead = next((i for i in range(width) if cur[i]), None)
+        if lead is not None:
+            kept.append((cur, lead, k))
+    return kept
+
+
+def reduce_rows(echelon: Iterable[tuple[list[int], int]], row: list[int]) -> list[int]:
+    """`row` reduced, in turn, at the lead column of each (echelon row, lead) pair."""
+    for pivot_row, lead in echelon:
+        if row[lead]:
+            row = _eliminate(row, pivot_row, lead)
+    return row
 
 
 def echelon_with_combinations(
@@ -230,17 +276,12 @@ def echelon_with_combinations(
     width = len(vecs[0]) if vecs else 0
     if any(len(v) != width for v in vecs):
         raise ValueError("ragged vectors")
-    # Each kept row is [row | combo] over the integers, a nonzero multiple of
-    # the rational pair, with the column of its leading entry and its input.
-    kept: list[tuple[list[int], int, int]] = []
-    for k, v in enumerate(vecs):
-        cur = _integer_row(v + (0,) * k + (1,) + (0,) * (n - k - 1))
-        for row, col, _ in kept:
-            if cur[col]:
-                cur = _eliminate(cur, row, col)
-        lead = next((i for i in range(width) if cur[i]), None)
-        if lead is not None:
-            kept.append((cur, lead, k))
+    # Each row is [row | combo] over the integers, a nonzero multiple of the
+    # rational pair.
+    kept = combination_echelon(
+        [_integer_row(v + (0,) * k + (1,) + (0,) * (n - k - 1)) for k, v in enumerate(vecs)],
+        width,
+    )
     return [
         (_fraction_row(row[:width], row[width + k]), _fraction_row(row[width:], row[width + k]))
         for row, _, k in kept
@@ -262,10 +303,9 @@ def reduce_against(
     n = len(echelon[0][1]) if echelon else 0
     # [residual | -combo | 1] over the integers, up to a common nonzero
     # factor; the echelon pairs get a zero in the last column to match.
-    rows = [_integer_row(row + combo + (0,)) for row, combo in echelon]
-    cur = _integer_row(v + (0,) * n + (1,))
-    for row in rows:
-        lead = next(i for i in range(width) if row[i])
-        if cur[lead]:
-            cur = _eliminate(cur, row, lead)
+    rows = [
+        (_integer_row(row + combo + (0,)), next(i for i in range(width) if row[i]))
+        for row, combo in echelon
+    ]
+    cur = reduce_rows(rows, _integer_row(v + (0,) * n + (1,)))
     return _fraction_row(cur[:width], cur[-1]), _fraction_row(cur[width:-1], -cur[-1])

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, factorial, perm
+from math import comb, factorial, lcm, perm
 from operator import add, index, sub
 from typing import Iterable, Mapping, Sequence
 
@@ -263,8 +263,9 @@ class JetPolynomial(_TermPolynomial):
 def add_contraction(out: dict, alpha: Sequence[int], terms: Mapping, factor=1) -> dict:
     """Add factor * (x^alpha o g) into the term dict `out`; g is given by its terms.
 
-    `out` may hold zero coefficients afterwards; `DualPolynomial` drops them.
-    It must not be `terms` itself.
+    The new keys are plain exponent tuples, and the coefficients may be
+    integers or `Fraction`s.  `out` may hold zero coefficients afterwards;
+    `DualPolynomial` drops them.  It must not be `terms` itself.
     """
     for beta, c in terms.items():
         scale = 1
@@ -273,9 +274,19 @@ def add_contraction(out: dict, alpha: Sequence[int], terms: Mapping, factor=1) -
                 break
             scale *= perm(b, a)
         else:
-            rest = Exponent(map(sub, beta, alpha))
+            rest = tuple(map(sub, beta, alpha))
             out[rest] = out.get(rest, 0) + factor * scale * c
     return out
+
+
+def integer_terms(terms: Mapping) -> tuple[dict, int]:
+    """(numerators, denominator) with terms = numerators / denominator.
+
+    The denominator is the least common denominator of the rational
+    coefficients, so it shares no factor with all the numerators at once.
+    """
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
 
 
 def contract_monomial(alpha: Exponent, g: DualPolynomial) -> DualPolynomial:

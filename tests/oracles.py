@@ -5,10 +5,11 @@ automorphisms: substituting the variable images into a jet, and
 composing two automorphisms.  Cross-checks of the killing staircase: the
 closed form of a perturbation's top-degree block, the killing matrix
 entry by entry from the dual coordinates, a scan of its block structure,
-the dual action through the dense matrix of the automorphism, and
+the dual action through the dense matrix of the automorphism,
 generator reduction as it was written before the staircase shared its
 echelons (one echelon table per call, one `DualPolynomial` subtraction
-per contraction).  And the invariants of a
+per contraction), the killing step on `Fraction` matrices, and the whole
+staircase built from those three.  And the invariants of a
 presentation computed the long way, without the dual echelon of
 `apolar.poly.dual_echelon`: the annihilators as kernels of contraction
 matrices, the socle type on the quotient algebra A = R/I itself, the
@@ -24,6 +25,10 @@ from typing import Sequence
 from apolar import (
     AlgebraPresentation,
     DualPolynomial,
+    GradingOutcome,
+    GradingReport,
+    KillingStep,
+    Obstruction,
     JetPolynomial,
     TruncatedAutomorphism,
     annihilator_upto,
@@ -31,6 +36,12 @@ from apolar import (
     killing_matrix,
 )
 from apolar.catalecticant import catalecticant_matrix
+from apolar.grading import (
+    _MIXED_DEGREE_NOTE,
+    _RESTRICTED_NOTE,
+    _STAIRCASE_NOTE,
+    _UNDECIDED_NOTE,
+)
 from apolar.linalg import RationalMatrix, echelon_with_combinations, reduce_against
 from apolar.poly import (
     Exponent,
@@ -213,6 +224,70 @@ def reduce_generators_reference(
                 if c:
                     gens[r] = gens[r] - contract_monomial(gamma, gens[q]).scaled(c)
     return gens
+
+
+def killing_step_reference(generators: Sequence[DualPolynomial], gap: int):
+    """`apolar.killing_step` on `Fraction` matrices.
+
+    Stacks `killing_matrix_reference` of each participating generator's top
+    (degree above s - gap, with a component gap below its top) and solves
+    with `RationalMatrix.solve` against the negated dual coordinates of the
+    gap-p components.
+    """
+    gens = list(generators)
+    degrees = [g.degree for g in gens]
+    s = max(degrees)
+    parts = [r for r, d in enumerate(degrees) if d > s - gap and d - gap >= 1]
+    if not parts:
+        return tuple()
+    blocks, target = [], []
+    for r in parts:
+        blocks.append(killing_matrix_reference(gens[r].top_component(), gap))
+        comp = gens[r].homogeneous_component(degrees[r] - gap)
+        target.extend(dual_coordinates(comp, degrees[r] - gap))
+    M = RationalMatrix.stacked(blocks)
+    solution = M.solve([-t for t in target])
+    if solution is None:
+        return Obstruction(
+            gap=gap, matrix=M, rank=M.rank(), target=tuple(target),
+            generator_indices=tuple(parts),
+        )
+    return solution
+
+
+def canonically_graded_reference(pres: AlgebraPresentation) -> GradingReport:
+    """The killing staircase of `apolar.canonically_graded` from the references.
+
+    Reductions are `reduce_generators_reference`, steps are
+    `killing_step_reference`, and each automorphism acts by
+    `dense_dual_apply`; the control flow and the notes are the staircase's.
+    """
+    n = pres.num_vars
+    notes = [_STAIRCASE_NOTE]
+    if len(set(pres.degrees)) > 1:
+        notes.append(_MIXED_DEGREE_NOTE)
+    gens = reduce_generators_reference(pres.generators)
+    degrees = [g.degree for g in gens]
+    s = max(degrees)
+    steps = []
+    for gap in range(1, s):
+        parts = [r for r, d in enumerate(degrees) if d > s - gap and d - gap >= 1]
+        if all(gens[r].homogeneous_component(degrees[r] - gap).is_zero() for r in parts):
+            continue
+        outcome = killing_step_reference(gens, gap)
+        if isinstance(outcome, Obstruction):
+            return GradingReport(
+                GradingOutcome.OBSTRUCTED_RESTRICTED, tuple(steps), tuple(gens),
+                outcome, tuple(notes + [_RESTRICTED_NOTE]),
+            )
+        phi = TruncatedAutomorphism.with_perturbation(n, s, gap, outcome)
+        gens = reduce_generators_reference([dense_dual_apply(phi, g) for g in gens])
+        steps.append(KillingStep(gap=gap, coefficients=tuple(outcome)))
+    if all(g.is_homogeneous() for g in gens):
+        return GradingReport(GradingOutcome.GRADED, tuple(steps), tuple(gens),
+                             notes=tuple(notes))
+    return GradingReport(GradingOutcome.NOT_APPLICABLE, tuple(steps), tuple(gens),
+                         notes=tuple(notes + [_UNDECIDED_NOTE]))
 
 
 def group_index(e: Exponent) -> int:

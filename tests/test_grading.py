@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from apolar import (
     AlgebraPresentation,
+    DependentLeadingForms,
     DualPolynomial,
     GradingOutcome,
     Obstruction,
@@ -32,6 +33,7 @@ from apolar.poly import contract_monomial
 
 from conftest import random_form, random_polynomial
 from oracles import (
+    canonically_graded_reference,
     group_index,
     killing_matrix_reference,
     matvec,
@@ -488,10 +490,15 @@ def test_reduce_matches_reference(data):
     n = data.draw(st.integers(2, 3))
     s = data.draw(st.integers(3, 5))
     fractional = data.draw(st.booleans())
+    # p/q tops make each combination depend on the top's denominator
+    top_denominators = data.draw(st.sampled_from([(1,), (1, 2, 3, 5)]))
     gens = []
     for _ in range(data.draw(st.integers(2, 3))):
         d = s - rng.randint(0, 1)
-        terms = {e: rng.choice([-2, -1, 1, 2]) for e in rng.sample(monomials(n, d), 2)}
+        terms = {
+            e: Fraction(rng.choice([-2, -1, 1, 2]), rng.choice(top_denominators))
+            for e in rng.sample(monomials(n, d), 2)
+        }
         for e in monomials_up_to(n, d - 1):
             if rng.random() < 0.4:
                 c = Fraction(rng.randint(-2, 2))
@@ -549,13 +556,13 @@ def test_staircase_builds_each_echelon_once(rng, monkeypatch):
     import apolar.grading as grading
 
     built = []
-    original = grading.echelon_with_combinations
+    original = grading.combination_echelon
 
-    def record(rows):
+    def record(rows, width):
         built.append(tuple(map(tuple, rows)))
-        return original(rows)
+        return original(rows, width)
 
-    monkeypatch.setattr(grading, "echelon_with_combinations", record)
+    monkeypatch.setattr(grading, "combination_echelon", record)
     for n, degrees in STAIRCASE_SHAPES:
         pres = _dense_presentation(rng, n, degrees)
         built.clear()
@@ -689,3 +696,60 @@ def test_graded_report_document_shape():
     assert doc["obstruction"]["gap"] == 1
     assert doc["obstruction"]["target"] == ["0", "0", "0", "6"]
     assert isinstance(doc["notes"], list)
+
+
+# ---- the staircase against its Fraction references -------------------------------
+
+
+def assert_staircase_matches_reference(pres):
+    report = canonically_graded(pres)
+    assert report.as_document() == canonically_graded_reference(pres).as_document()
+    return report
+
+
+def _p_over_q(rng):
+    return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_staircase_matches_fraction_reference(data):
+    # p/q leading forms and tails, 1-3 generators of mixed degree: every
+    # document equals the one of the staircase built from the references
+    import random
+
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    n = data.draw(st.integers(2, 3))
+    s = data.draw(st.integers(3, 5))
+    degrees = [s] + [rng.randint(max(2, s - 2), s) for _ in range(data.draw(st.integers(0, 2)))]
+    gens = []
+    for d in degrees:
+        tops = monomials(n, d)
+        terms = {e: _p_over_q(rng) for e in rng.sample(tops, rng.randint(2, len(tops)))}
+        for e in monomials_up_to(n, d - 1):
+            if e.degree >= 1 and rng.random() < 0.4:
+                terms[e] = _p_over_q(rng)
+        gens.append(DualPolynomial(n, terms))
+    pres = AlgebraPresentation(n, tuple(gens))
+    try:
+        assert_staircase_matches_reference(pres)
+    except DependentLeadingForms:
+        pass
+
+
+# (n, generators, gaps of the steps, outcome): a solution with denominators,
+# so that dual_apply has a perturbation over q > 1; two steps; an obstruction
+# after a step.
+PINNED_STAIRCASES = [
+    (2, ["y1^3 + y1^2*y2 - y2^2"], [1], "GRADED"),
+    (2, ["-2*y1^5 + 2*y1^3*y2^2 + y1^2*y2^3 - y1^3*y2"], [1, 2], "GRADED"),
+    (3, ["-y1^4*y2 - y1^2*y2*y3^2 + y1*y2^2*y3 + y2*y3^2"], [1], "OBSTRUCTED_RESTRICTED"),
+]
+
+
+@pytest.mark.parametrize("n, texts, gaps, outcome", PINNED_STAIRCASES)
+def test_pinned_staircase_matches_fraction_reference(n, texts, gaps, outcome):
+    report = assert_staircase_matches_reference(AlgebraPresentation.from_strings(n, texts))
+    assert report.outcome.value == outcome
+    assert [step.gap for step in report.steps] == gaps
+    assert any(c.denominator > 1 for c in report.steps[0].coefficients)
